@@ -1,42 +1,19 @@
 //! Bench-regression observatory: validate the committed `BENCH_*.json`
 //! artifacts and gate on unexplained regressions.
 //!
-//! The repo commits four machine-readable bench artifacts —
-//! `BENCH_hotpath.json` (busy-cycle throughput vs the pre-overhaul
-//! baseline), `BENCH_simspeed.json` (fast-forward on/off speedups),
+//! The repo commits two machine-readable study artifacts —
 //! `BENCH_resilience.json` (fault-sweep outcomes) and
 //! `BENCH_crash_resume.json` (checkpoint/resume kill-and-recover
 //! outcomes). Each is written by a different binary with its own
 //! hand-rolled serializer, so drift is easy: a field renamed in one
-//! place, a speedup that no longer matches the quotient it claims to be,
-//! a committed smoke artifact masquerading as a full run.
+//! place, a committed smoke artifact masquerading as a full run.
+//! (Simulator *speed* is measured by `benchmark/`, not here.)
 //!
-//! Default mode prints a one-screen summary of all three files.
-//! `--check` additionally exits nonzero when any file is missing,
-//! malformed, schema-invalid, internally inconsistent, or carries a
-//! regression the file itself does not explain:
+//! Default mode prints a one-screen summary of both files. `--check`
+//! additionally exits nonzero when any file is missing, malformed,
+//! schema-invalid, internally inconsistent, or carries a regression the
+//! file itself does not explain:
 //!
-//! * hot-path kernels must keep `speedup_vs_baseline >= 0.90`,
-//! * hot-path kernels must carry the flow-path columns
-//!   (`cycles_per_sec_flowpath_off`, `flowpath_speedup`), the speedup
-//!   must equal the rate quotient, and the flow path must not cost more
-//!   than 10% on any kernel (`flowpath_speedup >= 0.90`),
-//! * hot-path kernels must likewise carry the program-lowering columns
-//!   (`cycles_per_sec_lowered_off`, `lowered_speedup`), the speedup must
-//!   equal the rate quotient, lowering must keep a real win on the
-//!   dispatch-bound dense-compute kernel (`lowered_speedup >= 1.15` on
-//!   `rank64_peak`) and never cost any kernel more than 10%, and the
-//!   dense-compute kernel's cumulative speedup vs the pre-overhaul
-//!   baseline must stay `>= 1.9`,
-//! * the fast-forward `barrier_storm` speedup must stay `>= 10`, other
-//!   fast-forward experiments `>= 0.75` (the feature may be neutral but
-//!   must not badly hurt),
-//! * the `chunked` section (written by `parallel_scaling`) must be
-//!   present with every rate equal to its quotient; lookahead chunking
-//!   must keep a real win over the per-cycle barrier on the dense
-//!   kernels at 4+ threads (`chunked_speedup >= 1.15`) and must never
-//!   cost any row more than 10% (including the 1-thread rows, where the
-//!   serial engine makes the knob inert and the row pins neutrality),
 //! * every resilience row must have completed with outcome `"ok"` and
 //!   slowdown under 10x,
 //! * every crash-resume point must be bit-identical — matching cycle
@@ -45,11 +22,10 @@
 //!   determinism gates, not performance gates, so they are *not* skipped
 //!   for smoke artifacts: bit-identity holds at any workload size.
 //!
-//! Regression gates are skipped (with a note) for smoke artifacts —
-//! `"smoke": true`, or a resilience `n` below the full 128 — since smoke
-//! sizes are not comparable; schema and consistency checks still apply.
-//! Run it from the repo root (CI does, before the smoke benches
-//! overwrite the committed files):
+//! Regression gates are skipped (with a note) for smoke artifacts — a
+//! resilience `n` below the full 128 — since smoke sizes are not
+//! comparable; schema and consistency checks still apply. Run it from
+//! the repo root:
 //!
 //! ```text
 //! cargo run --release -p cedar-bench --bin bench_history -- --check
@@ -60,53 +36,6 @@ use cedar_bench::json::{parse, Value};
 /// Relative tolerance for "this field must equal that quotient" checks:
 /// the emitters round rates to 0.1 and speedups to 3 decimals.
 const REL_TOL: f64 = 0.01;
-
-/// Hot-path kernels must not lose more than 10% of their recorded win.
-const HOTPATH_FLOOR: f64 = 0.90;
-
-/// The flow-level network fast path may be neutral on kernels whose hot
-/// loops sit elsewhere, but must never cost a kernel more than 10%.
-const FLOWPATH_FLOOR: f64 = 0.90;
-
-/// Program lowering targets the CE dispatch loop, so its win is gated
-/// where dispatch is the workload: the register-only dense-compute
-/// kernels below. The memory-bound kernels converge across the lowering
-/// hatch — their wall clock is network and module word movement, which
-/// both paths share bit for bit — so there lowering only has to stay
-/// neutral (the flow-path rule).
-const LOWERED_FLOOR: f64 = 1.15;
-
-/// Kernels whose busy cycle is CE issue and dispatch rather than memory
-/// traffic: the rows [`LOWERED_FLOOR`] and [`CUMULATIVE_FLOOR`] gate.
-const DENSE_COMPUTE_KERNELS: &[&str] = &["rank64_peak"];
-
-/// On every other kernel lowering may be neutral but must never cost
-/// more than 10%.
-const LOWERED_NEUTRAL_FLOOR: f64 = 0.90;
-
-/// The performance arc's headline: on the dense-compute kernel the
-/// overhauls stack to at least this much over the pre-overhaul tick
-/// loop (threads and fast-forward are gated separately in
-/// `BENCH_simspeed.json`).
-const CUMULATIVE_FLOOR: f64 = 1.9;
-
-/// Lookahead chunking targets the barrier rounds the per-cycle parallel
-/// engine spends while the network idles, so its win is gated where the
-/// network idles: the dense-compute kernels, at thread counts that pay
-/// for real barrier rounds. The comparison runs both legs at the same
-/// thread count, so it is meaningful on any host.
-const CHUNKED_FLOOR: f64 = 1.15;
-
-/// Elsewhere — memory-bound rows (in-flight traffic pins chunks at one
-/// cycle) and 1-thread rows (the serial engine ignores the knob) —
-/// chunking may be neutral but must never cost more than 10%.
-const CHUNKED_NEUTRAL_FLOOR: f64 = 0.90;
-
-/// Fast-forward must stay a big win on the quiescent-heavy workload...
-const FF_STORM_FLOOR: f64 = 10.0;
-
-/// ...and at worst mildly unprofitable elsewhere.
-const FF_OTHER_FLOOR: f64 = 0.75;
 
 /// Resilience rows must not slow down more than this vs their clean run.
 const RESILIENCE_SLOWDOWN_CEIL: f64 = 10.0;
@@ -151,418 +80,6 @@ fn load(rep: &mut Report, file: &'static str) -> Option<Value> {
             rep.fail(file, format!("malformed JSON: {e}"));
             None
         }
-    }
-}
-
-/// A kernel section of `BENCH_hotpath.json`: `(name, cycles, rate)`.
-fn hotpath_kernels(
-    rep: &mut Report,
-    file: &'static str,
-    doc: &Value,
-    section: &str,
-) -> Vec<(String, u64, f64)> {
-    let mut out = Vec::new();
-    let Some(kernels) = doc
-        .get(section)
-        .and_then(|s| s.get("kernels"))
-        .and_then(Value::as_arr)
-    else {
-        rep.fail(file, format!("missing {section}.kernels array"));
-        return out;
-    };
-    for (i, k) in kernels.iter().enumerate() {
-        let name = k.get("name").and_then(Value::as_str);
-        let cycles = k.get("simulated_cycles").and_then(Value::as_u64);
-        let wall = num(k, "wall_seconds");
-        let rate = num(k, "cycles_per_sec");
-        let (Some(name), Some(cycles), Some(wall), Some(rate)) = (name, cycles, wall, rate) else {
-            rep.fail(
-                file,
-                format!("{section}.kernels[{i}]: missing/mistyped field"),
-            );
-            continue;
-        };
-        if wall <= 0.0 || rate <= 0.0 || cycles == 0 {
-            rep.fail(
-                file,
-                format!("{section} kernel {name}: non-positive measurement"),
-            );
-            continue;
-        }
-        if !close(rate, cycles as f64 / wall) {
-            rep.fail(
-                file,
-                format!(
-                    "{section} kernel {name}: cycles_per_sec {rate} != \
-                     simulated_cycles/wall_seconds {:.1}",
-                    cycles as f64 / wall
-                ),
-            );
-        }
-        out.push((name.to_string(), cycles, rate));
-    }
-    out
-}
-
-fn check_hotpath(rep: &mut Report) {
-    let file = "BENCH_hotpath.json";
-    let Some(doc) = load(rep, file) else { return };
-    let Some(smoke) = doc.get("smoke").and_then(Value::as_bool) else {
-        rep.fail(file, "missing boolean smoke field".into());
-        return;
-    };
-    let baseline = hotpath_kernels(rep, file, &doc, "baseline");
-    let current = hotpath_kernels(rep, file, &doc, "current");
-    if current.is_empty() {
-        rep.fail(file, "no current kernels".into());
-        return;
-    }
-    for (name, cycles, rate) in &current {
-        let Some((_, base_cycles, base_rate)) = baseline.iter().find(|(n, _, _)| n == name) else {
-            rep.fail(file, format!("kernel {name}: no baseline entry"));
-            continue;
-        };
-        // The simulator is deterministic: a changed cycle count means the
-        // baseline was taken on a different workload, not a slower host.
-        if cycles != base_cycles {
-            rep.fail(
-                file,
-                format!(
-                    "kernel {name}: simulated_cycles {cycles} != baseline {base_cycles} \
-                     (stale baseline? rerun with --rebase)"
-                ),
-            );
-        }
-        let entry = doc
-            .get("current")
-            .and_then(|c| c.get("kernels"))
-            .and_then(Value::as_arr)
-            .and_then(|ks| {
-                ks.iter()
-                    .find(|k| k.get("name").and_then(Value::as_str) == Some(name))
-            });
-        // The flow-path columns: present on every current kernel, with
-        // the claimed speedup equal to the rate quotient, and (non-smoke)
-        // the flow path never costing a kernel more than the floor.
-        let rate_off = entry.and_then(|k| num(k, "cycles_per_sec_flowpath_off"));
-        let flow_speedup = entry.and_then(|k| num(k, "flowpath_speedup"));
-        match (rate_off, flow_speedup) {
-            (Some(rate_off), Some(flow_speedup)) if rate_off > 0.0 => {
-                if !close(flow_speedup, rate / rate_off) {
-                    rep.fail(
-                        file,
-                        format!(
-                            "kernel {name}: flowpath_speedup {flow_speedup} != \
-                             rate quotient {:.3}",
-                            rate / rate_off
-                        ),
-                    );
-                }
-                if !smoke && flow_speedup < FLOWPATH_FLOOR {
-                    rep.fail(
-                        file,
-                        format!(
-                            "kernel {name}: flowpath_speedup {flow_speedup:.3} below \
-                             the {FLOWPATH_FLOOR} floor"
-                        ),
-                    );
-                }
-            }
-            _ => rep.fail(
-                file,
-                format!("kernel {name}: missing/invalid flow-path columns"),
-            ),
-        }
-        // The program-lowering columns, with the same quotient identity
-        // and (non-smoke) a floor: a real win where dispatch is the
-        // workload, neutrality-at-worst where memory movement is.
-        let dense = DENSE_COMPUTE_KERNELS.contains(&name.as_str());
-        let rate_interp = entry.and_then(|k| num(k, "cycles_per_sec_lowered_off"));
-        let lowered_speedup = entry.and_then(|k| num(k, "lowered_speedup"));
-        match (rate_interp, lowered_speedup) {
-            (Some(rate_interp), Some(lowered_speedup)) if rate_interp > 0.0 => {
-                if !close(lowered_speedup, rate / rate_interp) {
-                    rep.fail(
-                        file,
-                        format!(
-                            "kernel {name}: lowered_speedup {lowered_speedup} != \
-                             rate quotient {:.3}",
-                            rate / rate_interp
-                        ),
-                    );
-                }
-                let floor = if dense {
-                    LOWERED_FLOOR
-                } else {
-                    LOWERED_NEUTRAL_FLOOR
-                };
-                if !smoke && lowered_speedup < floor {
-                    rep.fail(
-                        file,
-                        format!(
-                            "kernel {name}: lowered_speedup {lowered_speedup:.3} below \
-                             the {floor} floor"
-                        ),
-                    );
-                }
-            }
-            _ => rep.fail(
-                file,
-                format!("kernel {name}: missing/invalid program-lowering columns"),
-            ),
-        }
-        let claimed = entry.and_then(|k| num(k, "speedup_vs_baseline"));
-        let Some(claimed) = claimed else {
-            // Smoke/rebased artifacts record the current build as their
-            // own baseline and omit the speedup field.
-            if !smoke {
-                rep.fail(file, format!("kernel {name}: missing speedup_vs_baseline"));
-            }
-            continue;
-        };
-        if !close(claimed, rate / base_rate) {
-            rep.fail(
-                file,
-                format!(
-                    "kernel {name}: speedup_vs_baseline {claimed} != rate quotient {:.3}",
-                    rate / base_rate
-                ),
-            );
-        }
-        if smoke {
-            continue;
-        }
-        if claimed < HOTPATH_FLOOR {
-            rep.fail(
-                file,
-                format!(
-                    "kernel {name}: speedup_vs_baseline {claimed:.3} below the \
-                     {HOTPATH_FLOOR} regression floor"
-                ),
-            );
-        }
-        if dense && claimed < CUMULATIVE_FLOOR {
-            rep.fail(
-                file,
-                format!(
-                    "kernel {name}: cumulative speedup_vs_baseline {claimed:.3} below \
-                     the {CUMULATIVE_FLOOR} headline floor"
-                ),
-            );
-        }
-    }
-    if smoke {
-        rep.gates_skipped.push(file);
-    }
-}
-
-fn check_simspeed(rep: &mut Report) {
-    let file = "BENCH_simspeed.json";
-    let Some(doc) = load(rep, file) else { return };
-    let Some(smoke) = doc.get("smoke").and_then(Value::as_bool) else {
-        rep.fail(file, "missing boolean smoke field".into());
-        return;
-    };
-    let Some(experiments) = doc.get("experiments").and_then(Value::as_arr) else {
-        rep.fail(file, "missing experiments array".into());
-        return;
-    };
-    if experiments.is_empty() {
-        rep.fail(file, "no experiments".into());
-    }
-    for (i, e) in experiments.iter().enumerate() {
-        let name = e.get("name").and_then(Value::as_str);
-        let cycles = e.get("simulated_cycles").and_then(Value::as_u64);
-        let (off_w, on_w) = (num(e, "wall_seconds_off"), num(e, "wall_seconds_on"));
-        let (off_r, on_r) = (num(e, "cycles_per_sec_off"), num(e, "cycles_per_sec_on"));
-        let speedup = num(e, "speedup");
-        let (
-            Some(name),
-            Some(cycles),
-            Some(off_w),
-            Some(on_w),
-            Some(off_r),
-            Some(on_r),
-            Some(speedup),
-        ) = (name, cycles, off_w, on_w, off_r, on_r, speedup)
-        else {
-            rep.fail(file, format!("experiments[{i}]: missing/mistyped field"));
-            continue;
-        };
-        if off_w <= 0.0 || on_w <= 0.0 || cycles == 0 {
-            rep.fail(file, format!("experiment {name}: non-positive measurement"));
-            continue;
-        }
-        for (label, rate, wall) in [("off", off_r, off_w), ("on", on_r, on_w)] {
-            if !close(rate, cycles as f64 / wall) {
-                rep.fail(
-                    file,
-                    format!(
-                        "experiment {name}: cycles_per_sec_{label} {rate} != \
-                         simulated_cycles/wall_seconds_{label} {:.1}",
-                        cycles as f64 / wall
-                    ),
-                );
-            }
-        }
-        if !close(speedup, off_w / on_w) {
-            rep.fail(
-                file,
-                format!(
-                    "experiment {name}: speedup {speedup} != wall-seconds quotient {:.3}",
-                    off_w / on_w
-                ),
-            );
-        }
-        if smoke {
-            continue;
-        }
-        let floor = if name == "barrier_storm" {
-            FF_STORM_FLOOR
-        } else {
-            FF_OTHER_FLOOR
-        };
-        if speedup < floor {
-            rep.fail(
-                file,
-                format!("experiment {name}: speedup {speedup:.3} below the {floor} floor"),
-            );
-        }
-    }
-    if smoke {
-        rep.gates_skipped.push(file);
-    }
-    check_chunked(rep, file, &doc);
-}
-
-/// The `chunked` section of `BENCH_simspeed.json`: per-thread-count
-/// timings of the parallel engine's automatic lookahead chunking against
-/// its per-cycle barrier hatch, written by `parallel_scaling`. It
-/// carries its own `smoke` flag — the section is spliced in by a
-/// different binary than the surrounding document, so their run sizes
-/// are independent.
-fn check_chunked(rep: &mut Report, file: &'static str, doc: &Value) {
-    let Some(section) = doc.get("chunked") else {
-        rep.fail(
-            file,
-            "missing chunked section (run parallel_scaling to regenerate)".into(),
-        );
-        return;
-    };
-    let Some(smoke) = section.get("smoke").and_then(Value::as_bool) else {
-        rep.fail(file, "chunked: missing boolean smoke field".into());
-        return;
-    };
-    let Some(rows) = section.get("rows").and_then(Value::as_arr) else {
-        rep.fail(file, "chunked: missing rows array".into());
-        return;
-    };
-    if rows.is_empty() {
-        rep.fail(file, "chunked: no rows".into());
-    }
-    let mut gated_dense = false;
-    for (i, r) in rows.iter().enumerate() {
-        let workload = r.get("workload").and_then(Value::as_str);
-        let threads = r.get("threads").and_then(Value::as_u64);
-        let workers = r.get("workers").and_then(Value::as_u64);
-        let cycles = r.get("simulated_cycles").and_then(Value::as_u64);
-        let (pc_w, ch_w) = (
-            num(r, "wall_seconds_percycle"),
-            num(r, "wall_seconds_chunked"),
-        );
-        let (pc_r, ch_r) = (
-            num(r, "cycles_per_sec_percycle"),
-            num(r, "cycles_per_sec_chunked"),
-        );
-        let per_worker = num(r, "cycles_per_sec_per_worker");
-        let speedup = num(r, "chunked_speedup");
-        let (
-            Some(workload),
-            Some(threads),
-            Some(workers),
-            Some(cycles),
-            Some(pc_w),
-            Some(ch_w),
-            Some(pc_r),
-            Some(ch_r),
-            Some(per_worker),
-            Some(speedup),
-        ) = (
-            workload, threads, workers, cycles, pc_w, ch_w, pc_r, ch_r, per_worker, speedup,
-        )
-        else {
-            rep.fail(file, format!("chunked.rows[{i}]: missing/mistyped field"));
-            continue;
-        };
-        if pc_w <= 0.0 || ch_w <= 0.0 || cycles == 0 || workers == 0 {
-            rep.fail(
-                file,
-                format!("chunked {workload}@{threads}: non-positive measurement"),
-            );
-            continue;
-        }
-        for (label, rate, wall) in [("percycle", pc_r, pc_w), ("chunked", ch_r, ch_w)] {
-            if !close(rate, cycles as f64 / wall) {
-                rep.fail(
-                    file,
-                    format!(
-                        "chunked {workload}@{threads}: cycles_per_sec_{label} {rate} != \
-                         simulated_cycles/wall_seconds_{label} {:.1}",
-                        cycles as f64 / wall
-                    ),
-                );
-            }
-        }
-        if !close(per_worker, ch_r / workers as f64) {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: cycles_per_sec_per_worker {per_worker} != \
-                     cycles_per_sec_chunked/workers {:.1}",
-                    ch_r / workers as f64
-                ),
-            );
-        }
-        if !close(speedup, pc_w / ch_w) {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: chunked_speedup {speedup} != \
-                     wall-seconds quotient {:.3}",
-                    pc_w / ch_w
-                ),
-            );
-        }
-        if smoke {
-            continue;
-        }
-        let dense = DENSE_COMPUTE_KERNELS.contains(&workload);
-        let floor = if dense && threads >= 4 {
-            gated_dense = true;
-            CHUNKED_FLOOR
-        } else {
-            CHUNKED_NEUTRAL_FLOOR
-        };
-        if speedup < floor {
-            rep.fail(
-                file,
-                format!(
-                    "chunked {workload}@{threads}: chunked_speedup {speedup:.3} below \
-                     the {floor} floor"
-                ),
-            );
-        }
-    }
-    if smoke {
-        rep.gates_skipped.push("BENCH_simspeed.json (chunked)");
-    } else if !gated_dense && !rows.is_empty() {
-        rep.fail(
-            file,
-            format!(
-                "chunked: no dense-kernel row at >= 4 threads — nothing enforces \
-                 the {CHUNKED_FLOOR} chunking floor"
-            ),
-        );
     }
 }
 
@@ -746,12 +263,7 @@ fn check_crash_resume(rep: &mut Report) {
 
 /// One-line summary per file for the default (no `--check`) mode.
 fn summarize() {
-    for file in [
-        "BENCH_hotpath.json",
-        "BENCH_simspeed.json",
-        "BENCH_resilience.json",
-        "BENCH_crash_resume.json",
-    ] {
+    for file in ["BENCH_resilience.json", "BENCH_crash_resume.json"] {
         let Ok(text) = std::fs::read_to_string(file) else {
             println!("{file:<24} (missing)");
             continue;
@@ -761,67 +273,6 @@ fn summarize() {
             continue;
         };
         match file {
-            "BENCH_hotpath.json" => {
-                let speedups: Vec<String> = doc
-                    .get("current")
-                    .and_then(|c| c.get("kernels"))
-                    .and_then(Value::as_arr)
-                    .map(|ks| {
-                        ks.iter()
-                            .filter_map(|k| {
-                                let flow = num(k, "flowpath_speedup")
-                                    .map_or(String::new(), |f| format!(" (flow {f:.2}x)"));
-                                let lower = num(k, "lowered_speedup")
-                                    .map_or(String::new(), |l| format!(" (lower {l:.2}x)"));
-                                Some(format!(
-                                    "{} {:.2}x{flow}{lower}",
-                                    k.get("name")?.as_str()?,
-                                    num(k, "speedup_vs_baseline")?
-                                ))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                println!("{file:<24} {}", speedups.join(", "));
-            }
-            "BENCH_simspeed.json" => {
-                let speedups: Vec<String> = doc
-                    .get("experiments")
-                    .and_then(Value::as_arr)
-                    .map(|es| {
-                        es.iter()
-                            .filter_map(|e| {
-                                Some(format!(
-                                    "{} {:.2}x",
-                                    e.get("name")?.as_str()?,
-                                    num(e, "speedup")?
-                                ))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                println!("{file:<24} fast-forward: {}", speedups.join(", "));
-                let chunked: Vec<String> = doc
-                    .get("chunked")
-                    .and_then(|c| c.get("rows"))
-                    .and_then(Value::as_arr)
-                    .map(|rs| {
-                        rs.iter()
-                            .filter_map(|r| {
-                                Some(format!(
-                                    "{}@{} {:.2}x",
-                                    r.get("workload")?.as_str()?,
-                                    r.get("threads")?.as_u64()?,
-                                    num(r, "chunked_speedup")?
-                                ))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if !chunked.is_empty() {
-                    println!("{:<24} chunked:      {}", "", chunked.join(", "));
-                }
-            }
             "BENCH_crash_resume.json" => {
                 let pts = doc.get("points").and_then(Value::as_arr);
                 let total = pts.map_or(0, <[Value]>::len);
@@ -861,8 +312,6 @@ fn main() {
         findings: Vec::new(),
         gates_skipped: Vec::new(),
     };
-    check_hotpath(&mut rep);
-    check_simspeed(&mut rep);
     check_resilience(&mut rep);
     check_crash_resume(&mut rep);
     for file in &rep.gates_skipped {

@@ -31,8 +31,8 @@ use crate::vm::Tlb;
 /// Everything a CE touches outside itself during one tick.
 pub struct CeContext<'a> {
     /// The forward network (request injection at this CE's port): the
-    /// [`Omega`](crate::network::Omega) itself on the single-threaded
-    /// engine, a per-port staging buffer under the parallel engine.
+    /// [`Omega`](crate::network::Omega) itself when the machine runs as
+    /// one shard, a per-port staging buffer when it runs as several.
     pub forward: &'a mut dyn InjectPort,
     /// The CE's cluster's shared cache.
     pub cache: &'a mut ClusterCache,
@@ -358,11 +358,11 @@ impl CeEngine {
         self.stats
     }
 
-    /// Retract `cycles` idle ticks. The partitioned parallel engine uses
-    /// this when a chunk overshoots the machine's completion cycle: every
-    /// overshot tick of a done CE is a pure `idle += 1` (nothing else in
+    /// Retract `cycles` idle ticks. The run loop uses this when a chunk
+    /// overshoots the machine's completion cycle: every overshot tick of
+    /// a done CE is a pure `idle += 1` (nothing else in
     /// the engine moves once `is_done` holds), so subtracting the
-    /// overshoot restores the serial loop's statistics exactly.
+    /// overshoot restores the per-cycle statistics exactly.
     pub(crate) fn uncount_idle(&mut self, cycles: u64) {
         debug_assert!(self.is_done(), "only a done CE accrues retractable idle");
         self.stats.idle -= cycles;
@@ -602,6 +602,30 @@ impl CeEngine {
         }
     }
 
+    /// Attribute `cycles` cycles in which the engine made no progress to
+    /// the class its (unchanging) state decides. The one table behind the
+    /// full tick's fallthrough, the quick tick and the fast-forward skip,
+    /// which must agree for all three to stay bit-identical.
+    #[inline]
+    fn charge_blocked(&mut self, cycles: u64) {
+        match self.state {
+            CeState::Done => self.stats.idle += cycles,
+            CeState::VectorDirect { .. }
+            | CeState::VectorPref { .. }
+            | CeState::VectorCache { .. }
+            | CeState::VectorGWrite { .. }
+            | CeState::AwaitScalarRead
+            | CeState::Fetch => self.stats.stall_mem += cycles,
+            CeState::AwaitCounter
+            | CeState::AwaitClusterBarrier
+            | CeState::GlobalBarrier { .. }
+            | CeState::AwaitSync
+            | CeState::AwaitFence => self.stats.stall_sync += cycles,
+            // Timed execution stalls model compute latency: busy.
+            _ => self.stats.busy += cycles,
+        }
+    }
+
     /// Credit `cycles` skipped quiescent cycles with exactly the counter
     /// increments the per-cycle [`CeEngine::tick`] would have made. Only
     /// valid over a span `next_event` declared event-free: every skipped
@@ -618,21 +642,7 @@ impl CeEngine {
             self.stats.stall_mem += cycles;
             return;
         }
-        match self.state {
-            CeState::VectorDirect { .. }
-            | CeState::VectorPref { .. }
-            | CeState::VectorCache { .. }
-            | CeState::VectorGWrite { .. }
-            | CeState::AwaitScalarRead
-            | CeState::Fetch => self.stats.stall_mem += cycles,
-            CeState::AwaitCounter
-            | CeState::AwaitClusterBarrier
-            | CeState::GlobalBarrier { .. }
-            | CeState::AwaitSync
-            | CeState::AwaitFence => self.stats.stall_sync += cycles,
-            // Timed execution stalls model compute latency: busy.
-            _ => self.stats.busy += cycles,
-        }
+        self.charge_blocked(cycles);
     }
 
     /// Advance one cycle.
@@ -692,21 +702,7 @@ impl CeEngine {
             }
         }
         if !progressed {
-            match self.state {
-                CeState::VectorDirect { .. }
-                | CeState::VectorPref { .. }
-                | CeState::VectorCache { .. }
-                | CeState::VectorGWrite { .. }
-                | CeState::AwaitScalarRead
-                | CeState::Fetch => self.stats.stall_mem += 1,
-                CeState::AwaitCounter
-                | CeState::AwaitClusterBarrier
-                | CeState::GlobalBarrier { .. }
-                | CeState::AwaitSync
-                | CeState::AwaitFence => self.stats.stall_sync += 1,
-                // Timed execution stalls model compute latency: busy.
-                _ => self.stats.busy += 1,
-            }
+            self.charge_blocked(1);
         } else {
             self.stats.busy += 1;
         }
@@ -748,22 +744,7 @@ impl CeEngine {
             }
             _ => {}
         }
-        match self.state {
-            CeState::Done => self.stats.idle += 1,
-            CeState::VectorDirect { .. }
-            | CeState::VectorPref { .. }
-            | CeState::VectorCache { .. }
-            | CeState::VectorGWrite { .. }
-            | CeState::AwaitScalarRead
-            | CeState::Fetch => self.stats.stall_mem += 1,
-            CeState::AwaitCounter
-            | CeState::AwaitClusterBarrier
-            | CeState::GlobalBarrier { .. }
-            | CeState::AwaitSync
-            | CeState::AwaitFence => self.stats.stall_sync += 1,
-            // Timed execution stalls model compute latency: busy.
-            _ => self.stats.busy += 1,
-        }
+        self.charge_blocked(1);
         true
     }
 

@@ -287,28 +287,25 @@ pub struct MachineConfig {
     pub cycle_ns: f64,
     /// Simulation host threads for the cluster phase of each cycle.
     ///
-    /// `1` (the default) is the single-threaded engine. Larger values shard
-    /// the per-cycle cluster stepping (CEs, cluster cache and memory,
-    /// prefetch units, concurrency bus) across `std::thread::scope` workers
-    /// with a barrier exchange for cross-cluster traffic; results are
-    /// bit-for-bit identical to the single-threaded engine (see
-    /// `Machine::run`). Capped at the cluster count; ignored (serial
-    /// fallback) when [`VmConfig::enabled`] is set, because page-fault
+    /// `1` (the default) steps the whole machine on the calling thread.
+    /// Larger values shard the cluster stepping (CEs, cluster cache and
+    /// memory, prefetch units, concurrency bus) across
+    /// `std::thread::scope` workers with a barrier exchange for
+    /// cross-cluster traffic; results are bit-for-bit identical at every
+    /// count (see `Machine::run`). Capped at the cluster count; forced to
+    /// one when [`VmConfig::enabled`] is set, because page-fault
     /// interleaving is inherently order-dependent.
     pub num_threads: usize,
-    /// Chunk length for the partitioned parallel engine, in cycles.
+    /// Cap on the rounds of a multi-shard run, in cycles.
     ///
-    /// `0` (the default) derives the chunk length automatically each round
-    /// from the machine's conservative lookahead bound — the minimum number
-    /// of cycles before shared state (the omega networks and global memory)
-    /// can deliver anything back into a cluster. `1` recovers the per-cycle
-    /// barrier engine. Larger values cap the automatic bound (they never
-    /// raise it: the bound is what keeps results exact). Purely a
-    /// wall-clock knob: results are bit-for-bit identical at any setting
-    /// (tested). The `CEDAR_CHUNK_CYCLES` environment variable supplies
-    /// this at run time when the configured value is 0, so explicit test
-    /// legs stay meaningful under a CI env matrix. Only consulted by the
-    /// parallel engine (`num_threads > 1`).
+    /// `0` (the default) derives the round length automatically from the
+    /// machine's conservative lookahead bound — the minimum number of
+    /// cycles before shared state (the omega networks and global memory)
+    /// can deliver anything back into a cluster. `1` forces per-cycle
+    /// rounds. Larger values cap the automatic bound (they never raise
+    /// it: the bound is what keeps results exact). Purely a wall-clock
+    /// knob: results are bit-for-bit identical at any setting (tested).
+    /// Only consulted when more than one shard runs (`num_threads > 1`).
     pub chunk_cycles: usize,
     /// Whether the engines may fast-forward over quiescent stretches —
     /// cycles in which no subsystem can change externally visible state —
@@ -353,9 +350,8 @@ pub struct MachineConfig {
     /// Simulated cycles between automatic mid-run checkpoints, or `0`
     /// (the default) for no auto-checkpointing. Requires
     /// [`checkpoint_path`](Self::checkpoint_path). Checkpoints are taken
-    /// at run-loop boundaries only (post-tick in the serial engine,
-    /// post-exchange in the parallel engine), so the interval is a floor,
-    /// not an exact period. Purely an availability knob: the simulated
+    /// between run-loop rounds only, so the interval is a floor, not an
+    /// exact period. Purely an availability knob: the simulated
     /// results are bit-for-bit identical with checkpointing on or off,
     /// and a run resumed from a checkpoint finishes bit-identical to the
     /// uninterrupted run (tested).
@@ -421,9 +417,8 @@ impl MachineConfig {
         self
     }
 
-    /// The same configuration with the given parallel-engine chunk length
-    /// (`0` = automatic lookahead bound; equivalence tests pin explicit
-    /// lengths so they stay meaningful under a CI env matrix).
+    /// The same configuration with the given multi-shard round cap
+    /// (`0` = automatic lookahead bound).
     pub fn with_chunk_cycles(mut self, chunk_cycles: usize) -> Self {
         self.chunk_cycles = chunk_cycles;
         self
@@ -516,12 +511,7 @@ impl MachineConfig {
         if self.cycle_ns <= 0.0 || self.cycle_ns.is_nan() {
             return Err("cycle time must be positive".into());
         }
-        if self.network.radix < 2 {
-            return Err("network radix must be at least 2".into());
-        }
-        if self.network.queue_words == 0 {
-            return Err("network queues must hold at least one word".into());
-        }
+        crate::network::omega::check_shape(self.network_ports(), &self.network)?;
         if self.global_memory.modules == 0 {
             return Err("global memory must have at least one module".into());
         }
@@ -585,9 +575,9 @@ impl Default for MachineConfig {
 // documented strict/lenient policy); re-exported here so call sites keep
 // their historical `config::` paths.
 pub use crate::env::{
-    checkpoint_every_from_env, checkpoint_path_from_env, chunk_cycles_from_env,
-    fastfwd_disabled_from_env, fault_seed_from_env, flowpath_disabled_from_env,
-    lowered_disabled_from_env, parse_env_threads, threads_from_env, trace_plan_from_env,
+    checkpoint_every_from_env, checkpoint_path_from_env, fastfwd_disabled_from_env,
+    fault_seed_from_env, flowpath_disabled_from_env, lowered_disabled_from_env, parse_env_threads,
+    threads_from_env, trace_plan_from_env,
 };
 
 #[cfg(test)]
@@ -636,6 +626,25 @@ mod tests {
         let mut cfg = MachineConfig::cedar();
         cfg.network.radix = 1;
         assert!(cfg.validate().is_err());
+
+        // Shapes the omega's fixed-size switch state cannot hold: each of
+        // these used to pass validation and panic in `Machine::new`.
+        let mut cfg = MachineConfig::cedar();
+        cfg.network.queue_words = 9;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = MachineConfig::cedar();
+        cfg.network.radix = 17;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = MachineConfig::cedar();
+        cfg.network.radix = 2;
+        cfg.global_memory.modules = (1 << 16) + 1; // 17 radix-2 stages
+        assert!(cfg.validate().is_err());
+        assert!(matches!(
+            crate::machine::Machine::new(cfg),
+            Err(crate::error::MachineError::InvalidConfig(_))
+        ));
 
         let mut cfg = MachineConfig::cedar();
         cfg.global_memory.service_cycles = 0;

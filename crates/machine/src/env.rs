@@ -4,7 +4,7 @@
 //! policy with two tiers:
 //!
 //! * **Lenient** knobs steer pure wall-clock behaviour — thread counts,
-//!   chunk lengths, the `CEDAR_NO_*` escape hatches. The simulated
+//!   the `CEDAR_NO_*` escape hatches. The simulated
 //!   results are bit-for-bit identical whatever these are set to, so a
 //!   malformed value is never worth aborting a run over: the parser
 //!   prints a stderr warning naming the variable, the rejected value and
@@ -45,31 +45,6 @@ pub fn parse_env_threads(var: &str) -> Option<usize> {
             eprintln!(
                 "warning: ignoring {var}={raw:?}: expected a positive integer; \
                  falling back to the configured thread count"
-            );
-            None
-        }
-    }
-}
-
-/// The chunk-length cap requested through the `CEDAR_CHUNK_CYCLES`
-/// environment variable, if set to a non-negative integer: `0` asks for
-/// the automatic lookahead bound, `1` recovers the per-cycle barrier
-/// engine, and `k > 1` caps the automatic bound at `k` cycles. Unset →
-/// `None` (the configured [`MachineConfig::chunk_cycles`] stands).
-///
-/// Lenient like the thread knobs — chunking is purely a wall-clock
-/// optimization (results are bit-for-bit identical at any chunk length),
-/// so garbage warns and falls back instead of failing the run.
-///
-/// [`MachineConfig::chunk_cycles`]: crate::config::MachineConfig::chunk_cycles
-pub fn chunk_cycles_from_env() -> Option<usize> {
-    let raw = std::env::var("CEDAR_CHUNK_CYCLES").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring CEDAR_CHUNK_CYCLES={raw:?}: expected a non-negative \
-                 integer (0 = automatic); falling back to the configured chunk length"
             );
             None
         }
@@ -260,25 +235,6 @@ mod tests {
             assert_eq!(threads_from_env(), None, "{bad:?} should not parse");
         }
         std::env::remove_var("CEDAR_NUM_THREADS");
-    }
-
-    // Same single-owner rule for CEDAR_CHUNK_CYCLES.
-    #[test]
-    fn env_chunk_knob_is_lenient() {
-        std::env::remove_var("CEDAR_CHUNK_CYCLES");
-        assert_eq!(chunk_cycles_from_env(), None);
-
-        // Zero is a legal value (automatic bound), unlike the thread knob.
-        std::env::set_var("CEDAR_CHUNK_CYCLES", "0");
-        assert_eq!(chunk_cycles_from_env(), Some(0));
-        std::env::set_var("CEDAR_CHUNK_CYCLES", " 4 ");
-        assert_eq!(chunk_cycles_from_env(), Some(4));
-
-        for bad in ["auto", "", "-3", "1.5"] {
-            std::env::set_var("CEDAR_CHUNK_CYCLES", bad);
-            assert_eq!(chunk_cycles_from_env(), None, "{bad:?} should not parse");
-        }
-        std::env::remove_var("CEDAR_CHUNK_CYCLES");
     }
 
     // Same single-owner rule for CEDAR_FAULT_SEED.

@@ -60,12 +60,12 @@ pub struct HangReport {
     pub module_queues: Vec<(usize, usize)>,
     /// Global-memory operations still tracked by CE retry controllers.
     pub pending_retries: u64,
-    /// Lookahead-chunked parallel-engine context at detection; `None`
-    /// when the serial engine tripped the watchdog.
+    /// Multi-shard context at detection; `None` when the machine ran as
+    /// one shard.
     pub chunked: Option<ChunkedContext>,
 }
 
-/// What the lookahead-chunked parallel engine was doing when the
+/// What a multi-shard (lookahead-chunked) run was doing when the
 /// watchdog fired, so a hang in the chunked exchange is diagnosable from
 /// the report alone.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,25 +11,23 @@ use std::sync::Arc;
 
 use crate::cache::{CacheStats, ClusterCache};
 use crate::ccbus::{CcBus, CcBusStats};
-use crate::ce::{min_event, CeContext, CeEngine, CeStats};
+use crate::ce::{CeEngine, CeStats};
 use crate::config::MachineConfig;
-use crate::error::{HangReport, MachineError, Result};
+use crate::error::{MachineError, Result};
 use crate::fault::{FaultCtlStats, FaultSchedule, RETRY_LATENCY_BINS, SALT_FORWARD, SALT_REVERSE};
 use crate::ids::{CeId, ClusterId, CounterId};
 use crate::memory::cluster_mem::ClusterMemory;
 use crate::memory::global::GlobalMemory;
 use crate::memory::module::ModuleStats;
 use crate::monitor::{EventTracer, Histogrammer};
-use crate::network::packet::{Packet, Payload};
-use crate::network::{NetSink, NetStats, Omega};
+use crate::network::{NetStats, Omega};
 use crate::prefetch::PrefetchStats;
 use crate::program::{BarrierId, Op, Program};
 use crate::sched::{BarrierDef, BarrierScope, CounterDef, EPOCH_SPACING};
 use crate::stats::{MachineStats, UtilSample, UtilizationTimeline};
 use crate::time::{mflops, Cycle};
 use crate::trace::{
-    self, profiled, region, BarrierEpisode, HostProfiler, Journey, LatencyBreakdown, TraceEvent,
-    TraceStore,
+    self, BarrierEpisode, HostProfiler, Journey, LatencyBreakdown, TraceEvent, TraceStore,
 };
 use crate::vm::{PageTable, Tlb, TlbStats};
 
@@ -78,9 +76,9 @@ impl Watchdog {
         now >= self.next_check
     }
 
-    /// The cycle of the next scheduled inspection. The partitioned engine
-    /// clamps its chunks here so inspections land on exactly the cycles
-    /// the per-cycle loop would inspect.
+    /// The cycle of the next scheduled inspection. Chunked rounds are
+    /// clamped here so inspections land on exactly the cycles per-cycle
+    /// rounds would inspect.
     pub(crate) fn next_check(&self) -> Cycle {
         self.next_check
     }
@@ -88,17 +86,6 @@ impl Watchdog {
     pub(crate) fn arm_next(&mut self, now: Cycle) {
         self.next_check = now + STUCK_CHECK_INTERVAL;
     }
-}
-
-/// Outcome of one watchdog inspection.
-#[derive(Debug)]
-pub(crate) enum ProgressVerdict {
-    /// The machine can still make progress.
-    Live,
-    /// A retry controller exhausted its budget.
-    Faulted { ce: CeId, reason: String },
-    /// The machine can never finish; the string names the trigger.
-    Deadlock(&'static str),
 }
 
 /// Where a loop-scheduling counter should live.
@@ -909,7 +896,6 @@ impl Machine {
         stats_start: MachineStats,
         mut watchdog: Watchdog,
     ) -> Result<RunReport> {
-        let fastfwd = self.cfg.fast_forward && !crate::config::fastfwd_disabled_from_env();
         let mut ckpt = match (self.cfg.checkpoint_every, &self.cfg.checkpoint_path) {
             (every, Some(path)) if every > 0 => Some(crate::snapshot::CkptCtl {
                 every,
@@ -921,247 +907,15 @@ impl Machine {
             }),
             _ => None,
         };
-        let run = if self.effective_threads() > 1 {
-            self.run_loop_parallel(start, limit, fastfwd, &mut watchdog, &mut ckpt)
-        } else {
-            self.run_loop_serial(start, limit, fastfwd, &mut watchdog, &mut ckpt)
-        };
-        run?;
-        fill_util_samples(&self.engines, &mut self.util_scratch);
-        self.timeline.finish(self.now, &self.util_scratch);
+        self.run_loop(start, limit, &mut watchdog, &mut ckpt)?;
         Ok(self.report(start, &stats_start))
     }
 
-    fn run_loop_serial(
-        &mut self,
-        start: Cycle,
-        limit: u64,
-        fastfwd: bool,
-        watchdog: &mut Watchdog,
-        ckpt: &mut Option<crate::snapshot::CkptCtl<'_>>,
-    ) -> Result<()> {
-        while !self.all_done() {
-            // Watchdog before the budget check: a true deadlock should
-            // surface as `Deadlock` (with its hang report), never as a
-            // generic `CycleLimitExceeded`.
-            if watchdog.due(self.now) {
-                self.check_progress(watchdog)?;
-            }
-            if self.now.saturating_since(start) > limit {
-                return Err(MachineError::CycleLimitExceeded { limit });
-            }
-            self.tick();
-            if fastfwd {
-                let mut prof = self.profiler.take();
-                profiled(&mut prof, region::FASTFWD, || {
-                    self.try_fast_forward(start, limit);
-                });
-                self.profiler = prof;
-            }
-            // Auto-checkpoint at the loop boundary: post-tick (and
-            // post-skip) state is always self-consistent here, whether
-            // the run is mid-fast-forward, mid-outage or mid-journey.
-            if let Some(ck) = ckpt.as_mut() {
-                if self.now >= ck.next {
-                    let image = self.run_image(ck, watchdog);
-                    crate::snapshot::write_snapshot_file(&ck.path, &image)?;
-                    ck.next = self.now + ck.every;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One forward-progress inspection (serial engine; the parallel
-    /// coordinator runs the same checks through
-    /// [`Machine::progress_verdict`]).
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError::Faulted`] when a retry controller exhausted its
-    /// budget, [`MachineError::Deadlock`] when the machine cannot finish.
-    fn check_progress(&mut self, watchdog: &mut Watchdog) -> Result<()> {
-        match self.progress_verdict(watchdog) {
-            ProgressVerdict::Live => Ok(()),
-            ProgressVerdict::Faulted { ce, reason } => Err(MachineError::Faulted { ce, reason }),
-            ProgressVerdict::Deadlock(kind) => Err(MachineError::Deadlock {
-                report: Box::new(self.hang_report(kind)),
-            }),
-        }
-    }
-
-    /// The watchdog's judgement of the machine's ability to finish,
-    /// shared by the serial and parallel engines.
-    pub(crate) fn progress_verdict(&self, watchdog: &mut Watchdog) -> ProgressVerdict {
-        watchdog.arm_next(self.now);
-        // A CE whose retry controller gave up can never become done.
-        for e in self.engines.iter().flatten() {
-            if let Some(reason) = e.fault_exhausted() {
-                return ProgressVerdict::Faulted { ce: e.id(), reason };
-            }
-        }
-        // No subsystem will ever act again, yet work remains: nothing can
-        // change, so nothing will complete.
-        if !self.all_done() && self.next_machine_event().is_none() {
-            return ProgressVerdict::Deadlock("event starvation");
-        }
-        // Every unfinished CE sat in a synchronization wait across several
-        // consecutive checks: a barrier/counter that can never release
-        // (legitimate waits release within one poll period, far shorter
-        // than a single check interval).
-        let mut unfinished = 0usize;
-        let mut sync_waiting = 0usize;
-        for e in self.engines.iter().flatten() {
-            if !e.is_done() {
-                unfinished += 1;
-                if e.sync_blocked() {
-                    sync_waiting += 1;
-                }
-            }
-        }
-        if unfinished > 0 && sync_waiting == unfinished {
-            watchdog.sync_stuck += 1;
-            if watchdog.sync_stuck >= STUCK_SYNC_CHECKS {
-                return ProgressVerdict::Deadlock("synchronization stall");
-            }
-        } else {
-            watchdog.sync_stuck = 0;
-        }
-        ProgressVerdict::Live
-    }
-
-    /// Capture the machine state for a [`MachineError::Deadlock`].
-    pub(crate) fn hang_report(&self, kind: &str) -> HangReport {
-        let mut ces = Vec::new();
-        let mut barrier_waiters = 0usize;
-        let mut pending_retries = 0u64;
-        for e in self.engines.iter().flatten() {
-            pending_retries += e.fault_pending();
-            if !e.is_done() {
-                if e.sync_blocked() {
-                    barrier_waiters += 1;
-                }
-                // Cap the listing: a machine-wide hang names every CE on a
-                // 32-CE Cedar, but a pathological config should not build
-                // an unbounded report.
-                if ces.len() < 64 {
-                    ces.push((e.id().0, e.hang_state()));
-                }
-            }
-        }
-        HangReport {
-            at_cycle: self.now.0,
-            kind: kind.to_string(),
-            ces,
-            barrier_waiters,
-            fwd_in_flight: self.forward.in_flight_packets(),
-            rev_in_flight: self.reverse.in_flight_packets(),
-            module_queues: self.gmem.queue_depths(),
-            pending_retries,
-            chunked: None,
-        }
-    }
-
-    /// The earliest future cycle at which any subsystem can change
-    /// externally visible state, given no machine activity in between.
-    /// `None` means no subsystem will ever act again (every CE is done —
-    /// or deadlocked waiting on synchronization that cannot arrive).
-    ///
-    /// Conservative by construction: any subsystem unsure of its next
-    /// event answers `now + 1`, which suppresses skipping but can never
-    /// change results.
-    pub(crate) fn next_machine_event(&self) -> Option<Cycle> {
-        let now = self.now;
-        let soon = now + 1;
-        let mut best = min_event(self.forward.next_event(now), self.reverse.next_event(now));
-        if best == Some(soon) {
-            return best;
-        }
-        if let Some(fs) = &self.fault_sched {
-            best = min_event(best, fs.next_event(now));
-            if best == Some(soon) {
-                return best;
-            }
-        }
-        best = min_event(best, self.gmem.next_event(now));
-        if best == Some(soon) {
-            return best;
-        }
-        for cl in &self.clusters {
-            best = min_event(best, cl.ccbus.next_event(now));
-            if best == Some(soon) {
-                return best;
-            }
-        }
-        for e in self.engines.iter().flatten() {
-            let ev = e.next_event(now, &self.clusters[e.cluster().0].ccbus, &self.counters);
-            best = min_event(best, ev);
-            if best == Some(soon) {
-                return best;
-            }
-        }
-        best
-    }
-
-    /// Event-horizon fast-forward: if every subsystem is quiescent until
-    /// some future cycle `t`, jump straight to `t - 1`, bulk-crediting the
-    /// skipped cycles into exactly the counters a cycle-by-cycle run would
-    /// have bumped (CE idle/stall attribution, memory-module busy/queue
-    /// occupancy, prefetch page-wait) and recording utilization-timeline
-    /// buckets at their usual boundaries. Every statistic, histogram and
-    /// digest stays bit-for-bit identical to the unskipped run.
-    fn try_fast_forward(&mut self, start: Cycle, limit: u64) {
-        // Past the cycle limit plus slack, so a run with no future events
-        // (a deadlocked barrier) trips CycleLimitExceeded promptly instead
-        // of ticking its way there.
-        let deadlock_cap = Cycle(start.0.saturating_add(limit).saturating_add(2));
-        let target = match self.next_machine_event() {
-            Some(t) if t > self.now + 1 => t.min(deadlock_cap),
-            Some(_) => return,
-            None => {
-                if self.all_done() {
-                    return;
-                }
-                deadlock_cap
-            }
-        };
-        if target <= self.now + 1 {
-            return;
-        }
-        let Machine {
-            engines,
-            gmem,
-            timeline,
-            now,
-            util_scratch,
-            fastfwd_skipped,
-            ..
-        } = self;
-        // Skip in chunks clamped to the next timeline bucket boundary, so
-        // utilization buckets are recorded from the same cumulative state a
-        // ticked run would have seen at each boundary.
-        while *now + 1 < target {
-            let boundary = timeline.next_boundary();
-            let chunk_end = boundary.min(Cycle(target.0 - 1)).max(*now + 1);
-            let k = chunk_end - *now;
-            gmem.skip(k);
-            for e in engines.iter_mut().flatten() {
-                e.skip(*now, k);
-            }
-            *fastfwd_skipped += k;
-            *now = chunk_end;
-            if timeline.due(*now) {
-                fill_util_samples(engines, util_scratch);
-                timeline.record(util_scratch);
-            }
-        }
-    }
-
-    /// Worker threads the parallel engine will actually use: the
-    /// configured count, capped at one worker per cluster, forced to one
-    /// when VM modelling is on (page-fault interleaving across clusters is
-    /// inherently order-dependent, so only the serial engine can model
-    /// it deterministically).
+    /// Shards the run loop will split the machine into: the configured
+    /// thread count, capped at one per cluster, forced to one when VM
+    /// modelling is on (page-fault interleaving across clusters is
+    /// inherently order-dependent, so only a lone shard walking the real
+    /// page table can model it deterministically).
     pub(crate) fn effective_threads(&self) -> usize {
         if self.cfg.vm.enabled {
             1
@@ -1184,90 +938,6 @@ impl Machine {
             cl.cache.digest(&mut h);
         }
         h.finish()
-    }
-
-    /// Advance the machine one cycle.
-    fn tick(&mut self) {
-        self.now += 1;
-        let now = self.now;
-        // The omegas have no absolute clock of their own; give their
-        // tracing layer (if any) the cycle before any network activity.
-        self.forward.set_trace_now(now);
-        self.reverse.set_trace_now(now);
-        // The profiler moves out for the tick so the `profiled` closures
-        // can borrow machine fields freely; measures host time only.
-        let mut prof = self.profiler.take();
-        if let Some(fs) = &mut self.fault_sched {
-            profiled(&mut prof, region::FAULTS, || {
-                fs.apply_due(now, &mut self.forward, &mut self.reverse, &mut self.gmem);
-            });
-        }
-        profiled(&mut prof, region::GMEM, || {
-            self.gmem.tick(now, &mut self.reverse);
-        });
-        profiled(&mut prof, region::REVERSE, || {
-            let mut sink = CeSink {
-                engines: &mut self.engines,
-                histogram: &mut self.latency_histogram,
-                now,
-            };
-            // The CE side always accepts (try_begin is constant), so the
-            // reverse network runs under a constant acceptance epoch.
-            self.reverse.tick_epoch(&mut sink, 0);
-        });
-        profiled(&mut prof, region::FORWARD, || {
-            let epoch = self.gmem.accept_epoch();
-            self.forward.tick_epoch(&mut self.gmem, epoch);
-        });
-        profiled(&mut prof, region::CLUSTER, || {
-            for cl in &mut self.clusters {
-                cl.ccbus.tick(now);
-            }
-            let Machine {
-                engines,
-                clusters,
-                forward,
-                counters,
-                barriers,
-                page_table,
-                tracer,
-                ..
-            } = self;
-            for e in engines.iter_mut().flatten() {
-                // Lowered mode: a CE parked inside a fused timed stall
-                // (or finished) needs exactly one attribution increment —
-                // skip the context plumbing and the full tick.
-                let cluster = &mut clusters[e.cluster().0];
-                if e.try_quick_tick(now, &cluster.ccbus) {
-                    continue;
-                }
-                let mut ctx = CeContext {
-                    forward,
-                    cache: &mut cluster.cache,
-                    ccbus: &mut cluster.ccbus,
-                    tlb: &mut cluster.tlb,
-                    page_table,
-                    counters,
-                    barriers,
-                    tracer,
-                };
-                e.tick(now, &mut ctx);
-            }
-        });
-        if self.timeline.due(now) {
-            profiled(&mut prof, region::TIMELINE, || {
-                fill_util_samples(&self.engines, &mut self.util_scratch);
-                self.timeline.record(&self.util_scratch);
-            });
-        }
-        self.profiler = prof;
-    }
-
-    fn all_done(&self) -> bool {
-        self.engines.iter().flatten().all(CeEngine::is_done)
-            && self.forward.is_idle()
-            && self.reverse.is_idle()
-            && self.gmem.is_idle()
     }
 
     fn report(&mut self, start: Cycle, stats_start: &MachineStats) -> RunReport {
@@ -1350,55 +1020,5 @@ impl Machine {
             Ok(())
         }
         walk(program.body(), self.counters.len(), self.barriers.len(), ce)
-    }
-}
-
-/// Fill `out` with cumulative per-CE utilization samples, one per
-/// configured CE (all-zero for CEs that run no program). Reuses the
-/// caller's buffer so the per-bucket timeline record allocates nothing.
-pub(crate) fn fill_util_samples(engines: &[Option<CeEngine>], out: &mut Vec<UtilSample>) {
-    out.clear();
-    out.extend(engines.iter().map(|e| match e {
-        Some(e) => {
-            let s = e.stats();
-            UtilSample {
-                busy: s.busy,
-                stall_mem: s.stall_mem,
-                stall_sync: s.stall_sync,
-                idle: s.idle,
-            }
-        }
-        None => UtilSample::default(),
-    }));
-}
-
-/// Routes reverse-network deliveries into CE engines, histogramming
-/// prefetch round trips on the way past (the external monitor probes the
-/// reverse-network signals on the real machine).
-struct CeSink<'a> {
-    engines: &'a mut [Option<CeEngine>],
-    histogram: &'a mut Arc<Histogrammer>,
-    now: Cycle,
-}
-
-impl NetSink for CeSink<'_> {
-    fn try_begin(&mut self, _port: usize) -> bool {
-        // The CE side always sinks replies (prefetch buffer slots and
-        // reply latches are pre-reserved by the requests themselves).
-        true
-    }
-
-    fn deliver(&mut self, port: usize, packet: Packet) {
-        if let Payload::Reply(r) = packet.payload {
-            if matches!(r.stream, crate::network::packet::Stream::Prefetch { .. }) {
-                Arc::make_mut(self.histogram)
-                    .record(self.now.saturating_since(r.req_issued) as usize);
-            }
-            if let Some(Some(e)) = self.engines.get_mut(port) {
-                e.receive(self.now, r);
-            }
-        } else {
-            debug_assert!(false, "request packet delivered to CE side");
-        }
     }
 }

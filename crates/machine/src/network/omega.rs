@@ -47,10 +47,10 @@ struct Flit {
     route: u8,
 }
 
-/// Where producers push packets. Implemented directly by [`Omega`] (the
-/// single-threaded engine injects straight into the network) and by the
-/// parallel engine's per-port staging buffers, which record injections
-/// during the sharded cluster phase and replay them against the real
+/// Where producers push packets. Implemented directly by [`Omega`] (a
+/// one-shard run injects straight into the network) and by the run
+/// loop's per-port staging buffers, which record a multi-shard run's
+/// injections during the cluster phase and replay them against the real
 /// network at the barrier, in deterministic port order.
 pub trait InjectPort {
     /// Offer a packet for injection at `port`; `false` means the port is
@@ -121,6 +121,44 @@ const RING_CAP: usize = 16;
 /// Upper bound on switch stages (radix 2 over 64 lines needs 6; the bound
 /// sizes the flow path's stack snapshots of the per-stage counters).
 const MAX_STAGES: usize = 16;
+
+/// Largest switch radix: arbitration keeps one `u16` requester mask per
+/// output on the stack.
+const MAX_RADIX: usize = 16;
+
+/// Switch stages a network of `radix`-way switches needs for `ports` lines.
+fn stages_for(ports: usize, radix: usize) -> usize {
+    let mut size = radix;
+    let mut stages = 1;
+    while size < ports {
+        size = size.saturating_mul(radix);
+        stages += 1;
+    }
+    stages
+}
+
+/// Why [`Omega::new`] would refuse (or mis-index) this shape, if it would.
+/// `MachineConfig::validate` asks first, so a shape the fixed-size switch
+/// state cannot hold comes back as an error instead of a panic.
+pub(crate) fn check_shape(ports: usize, cfg: &NetworkConfig) -> Result<(), String> {
+    if !(2..=MAX_RADIX).contains(&cfg.radix) {
+        return Err(format!("network radix must be between 2 and {MAX_RADIX}"));
+    }
+    if cfg.queue_words == 0 || cfg.queue_words * 2 > RING_CAP {
+        return Err(format!(
+            "network queues must hold between 1 and {} words",
+            RING_CAP / 2
+        ));
+    }
+    let stages = stages_for(ports, cfg.radix);
+    if stages > MAX_STAGES {
+        return Err(format!(
+            "{ports} network ports need {stages} radix-{} stages; at most {MAX_STAGES} are supported",
+            cfg.radix
+        ));
+    }
+    Ok(())
+}
 
 /// A packet slab slot: either a live in-flight packet or a link in the
 /// intrusive free list (LIFO, so ids are reused densely — the same order a
@@ -374,29 +412,19 @@ impl Omega {
     ///
     /// # Panics
     ///
-    /// Panics if `ports == 0` or the configuration is invalid
-    /// ([`NetworkConfig`] fields of zero).
+    /// Panics if `ports == 0` or [`check_shape`] rejects the shape (a
+    /// radix, queue depth or stage count the fixed-size switch state
+    /// cannot hold).
     pub fn new(ports: usize, cfg: &NetworkConfig) -> Omega {
         assert!(ports > 0, "network must have at least one port");
-        assert!(cfg.radix >= 2, "network radix must be at least 2");
-        assert!(cfg.queue_words > 0, "switch queues must hold a word");
-        let mut size = cfg.radix;
-        let mut stages = 1;
-        while size < ports {
-            size *= cfg.radix;
-            stages += 1;
+        if let Err(why) = check_shape(ports, cfg) {
+            panic!("{why}");
         }
-        assert!(
-            stages <= MAX_STAGES,
-            "networks of {stages} stages unsupported"
-        );
+        let stages = stages_for(ports, cfg.radix);
+        let size = cfg.radix.pow(stages as u32);
         // Input + output queue per port pair; we model the pair as a single
         // per-stage queue of twice the per-queue capacity.
         let queue_cap = cfg.queue_words * 2;
-        assert!(
-            queue_cap <= RING_CAP,
-            "switch queues of {queue_cap} words exceed the supported {RING_CAP}"
-        );
         let injector_cap = 2;
         assert!(injector_cap <= INJ_CAP, "injector ring too small");
         let shuffle_tab = (0..size)
@@ -1002,7 +1030,6 @@ impl Omega {
     /// serve each requested output (lock owner first, else round-robin
     /// among competing head words).
     fn tick_switch<S: NetSink + ?Sized>(&mut self, stage: usize, sw: usize, sink: &mut S) {
-        const MAX_RADIX: usize = 16;
         debug_assert!(self.radix <= MAX_RADIX);
         let base = sw * self.radix;
         let qbase = stage * self.size + base;

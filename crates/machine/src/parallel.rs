@@ -1,14 +1,33 @@
-//! The deterministic parallel execution engine.
+//! The run loop: one engine, partitioned into one shard or several.
 //!
 //! The simulated Cedar is four largely independent Alliant clusters that
 //! interact only through the omega networks, the global memory and the
 //! concurrency control buses — the same decomposition the hardware
-//! exploits. This engine exploits it in software *twice over*: the
+//! exploits. The run loop models that decomposition once: the
 //! cluster-local work (CE engines, prefetch units, cluster cache and
-//! memory, CC bus) is sharded across `std::thread::scope` workers, and
-//! the workers advance their clusters **several cycles per barrier
-//! round** whenever the machine's conservative lookahead allows it,
-//! instead of synchronizing every cycle.
+//! memory, CC bus) lives in [`Shard`]s, the shared components stay on
+//! the [`Machine`], and the number of shards is a parameter
+//! ([`MachineConfig::num_threads`](crate::config::MachineConfig::num_threads)).
+//!
+//! * **One shard** holds every cluster and runs on the calling thread.
+//!   Its CEs inject straight into the forward network, post straight
+//!   into the machine tracer and use the machine-wide page table; every
+//!   round is one cycle — shared components, then clusters. No thread,
+//!   barrier or staging buffer exists, and the shard's lock is taken
+//!   once for the whole run.
+//! * **Several shards** run on `std::thread::scope` workers (the
+//!   coordinator doubles as shard 0's worker). Their CEs inject into
+//!   per-port staging buffers and post into per-shard event buffers,
+//!   which the coordinator replays into the real network and tracer in
+//!   (cluster, CE) order — and the workers advance their clusters
+//!   **several cycles per barrier round** whenever the machine's
+//!   conservative lookahead allows it.
+//!
+//! Everything else — the fault → memory → reverse → forward phase
+//! sequence, the event-horizon fold, fast-forward, the watchdog, the
+//! timeline, the auto-checkpoint — is the same code on every shard
+//! count, written over the shards the coordinator holds between cluster
+//! phases.
 //!
 //! # Lookahead chunking
 //!
@@ -37,25 +56,25 @@
 //! The chunk length `L` is `H` clamped by every event the coordinator
 //! must observe on its exact cycle: the utilization-timeline boundary,
 //! the next fault-schedule transition, the watchdog's next inspection,
-//! the cycle limit, the `CEDAR_CHUNK_CYCLES` cap, and — the subtle one —
-//! per-port injector headroom (below). `L ≤ 1` degenerates to the
-//! per-cycle barrier round, which is also the `CEDAR_CHUNK_CYCLES=1`
-//! escape hatch.
+//! the cycle limit, the configured `chunk_cycles` cap, and — the subtle
+//! one — per-port injector headroom (below). `L ≤ 1` is a per-cycle
+//! round: the shared components run first, so this cycle's replies
+//! reach the CEs, and the one cycle of staged traffic is applied right
+//! after the cluster phase.
 //!
 //! For a chunk, each worker runs its clusters `L` cycles back to back,
 //! staging every injection with its cycle tag. The coordinator then
 //! *replays* the shared components cycle by cycle — memory tick, reverse
 //! tick (asserted delivery-free), forward tick, then the staged
 //! injections and trace events for that cycle in (cluster, CE) order —
-//! so the real networks and memory observe **exactly the serial
-//! engine's call sequence** and every stat, stall charge, fault draw and
-//! trace stamp lands where the serial loop would put it.
+//! so the real networks and memory observe **exactly the call sequence
+//! of per-cycle rounds** and every stat, stall charge, fault draw and
+//! trace stamp lands where direct injection would put it.
 //!
 //! # Determinism
 //!
-//! The engine is bit-for-bit equivalent to the single-threaded engine in
-//! [`Machine::run`](crate::machine::Machine::run), not merely "equivalent
-//! up to reordering". That follows from four facts:
+//! A run is bit-for-bit the same on every shard count, not merely
+//! "equivalent up to reordering". That follows from four facts:
 //!
 //! 1. **Cluster state is disjoint.** A CE only touches its own cluster's
 //!    cache, TLB and CC bus, so shards never share mutable state.
@@ -68,7 +87,7 @@
 //!    guaranteed because the chunk is clamped to the port's stage-queue
 //!    headroom (`queue_cap − occupancy`, plus one free cycle when the
 //!    ring starts empty), so the real drain can never block mid-chunk.
-//! 3. **Within a cycle, injections are invisible.** The serial tick moves
+//! 3. **Within a cycle, injections are invisible.** A cycle moves
 //!    network words *before* ticking CEs, so a packet injected during the
 //!    CE phase is not observed by anything until the next cycle; applying
 //!    it at the replay step instead of mid-phase changes nothing.
@@ -77,25 +96,24 @@
 //!    no cluster input is ever computed from stale shared state.
 //!
 //! Tracer events posted by CEs are buffered per shard with their cycle
-//! tags and merged per replayed cycle in shard order — the serial
-//! engine's exact post order, including capacity drops, which only the
-//! machine-level tracer applies. The one model the barrier scheme cannot
-//! reproduce is demand paging, where same-cycle faults from different
-//! clusters race for the machine-wide page table; with
-//! [`VmConfig::enabled`] (`crate::config::VmConfig::enabled`) set the
-//! machine silently falls back to the serial engine.
+//! tags and merged per replayed cycle in shard order — direct posting's
+//! exact order, including capacity drops, which only the machine-level
+//! tracer applies. The one model staging cannot reproduce is demand
+//! paging, where same-cycle faults from different clusters race for the
+//! machine-wide page table; with [`VmConfig::enabled`]
+//! (`crate::config::VmConfig::enabled`) set the machine runs as one
+//! shard.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::ce::{min_event, CeContext, CeEngine};
-use crate::error::{ChunkedContext, MachineError, Result};
-use crate::ids::CeId;
+use crate::error::{ChunkedContext, HangReport, MachineError, Result};
 use crate::machine::{Cluster, Machine, Watchdog, STUCK_SYNC_CHECKS};
 use crate::monitor::{EventTracer, Histogrammer};
 use crate::network::omega::INJ_CAP;
 use crate::network::packet::{Packet, Payload, Stream};
-use crate::network::{InjectPort, NetSink};
+use crate::network::{InjectPort, NetSink, Omega};
 use crate::sched::{BarrierDef, CounterDef};
 use crate::stats::UtilSample;
 use crate::time::Cycle;
@@ -167,9 +185,9 @@ fn timed_wait(b: &SpinBarrier, acc: Option<&SyncWait>) {
 }
 
 /// A per-port staging buffer standing in for the forward network during
-/// the sharded cluster phase. It mirrors the port's real injector with a
-/// shadow ring of remaining word counts, so acceptance decisions over a
-/// whole chunk match what the serial engine's `Omega::try_inject` would
+/// the cluster phase of a multi-shard run. It mirrors the port's real
+/// injector with a shadow ring of remaining word counts, so acceptance
+/// decisions over a whole chunk match what `Omega::try_inject` would
 /// have returned cycle by cycle, and records accepted packets with their
 /// cycle tags for deterministic replay at the exchange.
 struct PortStage {
@@ -182,7 +200,7 @@ struct PortStage {
     down: bool,
     /// Injection attempts refused because the link is down; folded into
     /// the network's `link_blocked` at the exchange, exactly the stat
-    /// (and the only state) the serial `try_inject` charges for these.
+    /// (and the only state) `Omega::try_inject` charges for these.
     blocked: u64,
     /// Shadow injector ring: remaining words of each queued packet, in
     /// drain order. Seeded from the real injector at the round start.
@@ -236,38 +254,55 @@ impl InjectPort for PortStage {
     }
 }
 
+/// Where a lone shard's CEs send what leaves their clusters: with nothing
+/// to race against they inject into the real forward network, post into
+/// the machine tracer and walk the machine-wide page table (which is what
+/// lets demand paging run at all — see the module docs).
+struct Direct<'a> {
+    forward: &'a mut Omega,
+    tracer: &'a mut EventTracer,
+    page_table: &'a mut PageTable,
+}
+
 /// One worker's slice of the machine: a contiguous run of clusters and
 /// their engines, plus the staging state that decouples the shard from
-/// everything shared.
+/// everything shared. A one-shard run keeps the whole machine in one of
+/// these and leaves the staging state empty.
 struct Shard {
     first_cluster: usize,
+    /// Network port of `engines[0]` (CE ids and ports coincide).
+    first_port: usize,
     clusters: Vec<Cluster>,
-    /// Engines of the shard's CEs, indexed by CE id minus the shard base.
+    /// Engines of the shard's CEs, indexed by CE id minus `first_port`.
     engines: Vec<Option<CeEngine>>,
-    /// One staging buffer per engine slot (port = shard base + index).
+    /// One staging buffer per engine slot; empty when the shard injects
+    /// directly.
     stages: Vec<PortStage>,
     /// Per-round event buffer, merged into the machine tracer in cycle
     /// then cluster order at the exchange. Unbounded: only the machine
-    /// tracer applies capacity, so drops land exactly where the serial
-    /// engine drops.
+    /// tracer applies capacity, so drops land exactly where direct
+    /// posting drops.
     events: EventTracer,
     /// Merge cursor into `events` (entries are cycle-ascending).
     events_cursor: usize,
-    /// Scratch page table handed to `CeContext`. Never touched: the
-    /// parallel engine only runs with VM modelling off.
+    /// Scratch page table handed to `CeContext` by staged shards. Never
+    /// touched: more than one shard only runs with VM modelling off.
     page_table: PageTable,
-    /// First cycle at whose end every local engine was done, while that
-    /// has stayed true since (doneness is monotone mid-run; the replay's
-    /// completion check uses this to stop a chunk on the exact cycle the
-    /// serial loop would).
+    /// The machine's counter and barrier registries (frozen for the run).
+    counters: Arc<[CounterDef]>,
+    barriers: Arc<[BarrierDef]>,
+    /// First chunked-round cycle at whose end every local engine was
+    /// done, while that has stayed true since (doneness is monotone
+    /// mid-run; the chunk replay uses this to stop on the exact cycle a
+    /// per-cycle run would).
     done_since: Option<Cycle>,
 }
 
 impl Shard {
-    /// The cluster phase of one cycle, mirroring the serial engine's
-    /// order: every CC bus first, then the engines in CE-id order.
-    /// `drain` streams the shadow injector rings (chunked rounds only).
-    fn tick(&mut self, now: Cycle, drain: bool, counters: &[CounterDef], barriers: &[BarrierDef]) {
+    /// The cluster phase of one cycle: every CC bus first, then the
+    /// engines in CE-id order. `drain` streams the shadow injector rings
+    /// (chunked rounds only); `direct` bypasses the staging state.
+    fn tick(&mut self, now: Cycle, drain: bool, mut direct: Option<&mut Direct<'_>>) {
         let Shard {
             first_cluster,
             clusters,
@@ -275,6 +310,8 @@ impl Shard {
             stages,
             events,
             page_table,
+            counters,
+            barriers,
             done_since,
             ..
         } = self;
@@ -284,84 +321,68 @@ impl Shard {
         for cl in clusters.iter_mut() {
             cl.ccbus.tick(now);
         }
-        let mut all_done = true;
         for (i, e) in engines.iter_mut().enumerate() {
             let Some(e) = e else { continue };
             // Lowered mode: parked in a fused timed stall (or finished) —
             // one attribution increment, no context plumbing.
             let cluster = &mut clusters[e.cluster().0 - *first_cluster];
             if e.try_quick_tick(now, &cluster.ccbus) {
-                all_done &= e.is_done();
                 continue;
             }
+            let (forward, tracer, page_table): (&mut dyn InjectPort, _, _) = match &mut direct {
+                Some(d) => (&mut *d.forward, &mut *d.tracer, &mut *d.page_table),
+                None => (&mut stages[i], &mut *events, &mut *page_table),
+            };
             let mut ctx = CeContext {
-                forward: &mut stages[i],
+                forward,
                 cache: &mut cluster.cache,
                 ccbus: &mut cluster.ccbus,
                 tlb: &mut cluster.tlb,
                 page_table,
                 counters,
                 barriers,
-                tracer: events,
+                tracer,
             };
             e.tick(now, &mut ctx);
-            all_done &= e.is_done();
         }
-        *done_since = if all_done {
-            done_since.or(Some(now))
-        } else {
-            None
-        };
-    }
-}
-
-/// Routes reverse-network deliveries into the engines now living inside
-/// shards — the parallel twin of the serial engine's `CeSink`, running on
-/// the coordinator between barriers (the per-delivery lock is never
-/// contended there).
-struct ShardCeSink<'a> {
-    shards: &'a [Mutex<Shard>],
-    /// Shard index owning each cluster.
-    cluster_of: &'a [usize],
-    ces_per_cluster: usize,
-    histogram: &'a mut Arc<Histogrammer>,
-    now: Cycle,
-}
-
-impl NetSink for ShardCeSink<'_> {
-    fn try_begin(&mut self, _port: usize) -> bool {
-        true
-    }
-
-    fn deliver(&mut self, port: usize, packet: Packet) {
-        if let Payload::Reply(r) = packet.payload {
-            if matches!(r.stream, Stream::Prefetch { .. }) {
-                Arc::make_mut(self.histogram)
-                    .record(self.now.saturating_since(r.req_issued) as usize);
-            }
-            let Some(&shard) = self.cluster_of.get(port / self.ces_per_cluster) else {
-                return;
+        // Only a chunk replay reads the marker, so only chunked ticks
+        // maintain it.
+        if drain {
+            *done_since = if engines.iter().flatten().all(CeEngine::is_done) {
+                done_since.or(Some(now))
+            } else {
+                None
             };
-            let mut sh = self.shards[shard]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let idx = port - sh.first_cluster * self.ces_per_cluster;
-            if let Some(Some(e)) = sh.engines.get_mut(idx) {
-                e.receive(self.now, r);
-            }
-        } else {
-            debug_assert!(false, "request packet delivered to CE side");
         }
     }
 }
 
-/// Fill `out` with cumulative per-CE utilization samples read out of the
-/// shards, in CE-id order (shards partition the CEs contiguously). The
-/// parallel twin of [`crate::machine::fill_util_samples`].
-fn fill_shard_samples(shards: &[Mutex<Shard>], out: &mut Vec<UtilSample>) {
+/// A shard the coordinator currently holds. It holds every shard for the
+/// whole of its own phase and lets go of the workers' shards only around
+/// the cluster phase, so nothing below locks per cycle or per delivery.
+type Held<'a> = MutexGuard<'a, Shard>;
+
+fn hold(shard: &Mutex<Shard>) -> Held<'_> {
+    shard.lock().expect("a shard worker panicked mid-tick")
+}
+
+/// Every engine slot of the machine, in CE-id order (shards partition the
+/// CEs contiguously).
+fn engine_slots<'a>(held: &'a [Held<'_>]) -> impl Iterator<Item = &'a Option<CeEngine>> {
+    held.iter().flat_map(|sh| sh.engines.iter())
+}
+
+/// Every cluster of the machine, in id order.
+fn clusters<'a>(held: &'a [Held<'_>]) -> impl Iterator<Item = &'a Cluster> {
+    held.iter().flat_map(|sh| sh.clusters.iter())
+}
+
+/// Fill `out` with cumulative per-CE utilization samples, one per
+/// configured CE (all-zero for CEs that run no program). Reuses the
+/// caller's buffer so the per-bucket timeline record allocates nothing.
+fn fill_util_samples(held: &[Held<'_>], out: &mut Vec<UtilSample>) {
     out.clear();
-    for sm in shards {
-        let sh = sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    for sh in held {
         out.extend(sh.engines.iter().map(|e| match e {
             Some(e) => {
                 let s = e.stats();
@@ -377,797 +398,731 @@ fn fill_shard_samples(shards: &[Mutex<Shard>], out: &mut Vec<UtilSample>) {
     }
 }
 
-/// The shard half of `Machine::next_machine_event`: fold the CC buses and
-/// engines living inside the shards. Also reports whether every CE is
-/// done, so the caller can tell completion (no skip needed — the loop
-/// head breaks) from deadlock (jump past the cycle limit).
-///
-/// The `done` flag is only meaningful when the returned event is `None`;
-/// the fold bails out early once the next cycle is known to be live.
-fn next_shard_event(
-    shards: &[Mutex<Shard>],
+/// Routes reverse-network deliveries into CE engines, histogramming
+/// prefetch round trips on the way past (the external monitor probes the
+/// reverse-network signals on the real machine).
+struct CeSink<'a, 'h> {
+    held: &'a mut [Held<'h>],
+    histogram: &'a mut Arc<Histogrammer>,
     now: Cycle,
-    counters: &[CounterDef],
-) -> (Option<Cycle>, bool) {
-    let soon = now + 1;
-    let mut best: Option<Cycle> = None;
-    let mut all_done = true;
-    for sm in shards {
-        let sh = sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Direct doneness: `done_since` can lag an engine that finished
-        // during a fast-forward skip.
-        all_done &= sh.engines.iter().flatten().all(CeEngine::is_done);
-        for cl in &sh.clusters {
-            best = min_event(best, cl.ccbus.next_event(now));
-            if best == Some(soon) {
-                return (best, false);
-            }
-        }
-        for e in sh.engines.iter().flatten() {
-            let ccbus = &sh.clusters[e.cluster().0 - sh.first_cluster].ccbus;
-            best = min_event(best, e.next_event(now, ccbus, counters));
-            if best == Some(soon) {
-                return (best, false);
-            }
-        }
+}
+
+impl NetSink for CeSink<'_, '_> {
+    fn try_begin(&mut self, _port: usize) -> bool {
+        // The CE side always sinks replies (prefetch buffer slots and
+        // reply latches are pre-reserved by the requests themselves).
+        true
     }
-    (best, all_done)
-}
 
-/// Why the parallel run loop stopped early. The loop cannot build a
-/// [`MachineError::Deadlock`] itself — the hang report needs the engines
-/// back inside the machine — so it breaks with this marker and the error
-/// is materialized after reassembly.
-enum Stop {
-    Limit,
-    Deadlock(&'static str),
-    Faulted(CeId, String),
-    /// Writing an auto-checkpoint failed (disk full, permissions).
-    Snapshot(MachineError),
-}
-
-/// The parallel twin of `Machine::progress_verdict`: inspect the engines
-/// inside the shards. `machine_event` is the full event horizon (networks,
-/// memory, fault schedule, shards) at `now`.
-fn shard_progress_verdict(
-    shards: &[Mutex<Shard>],
-    watchdog: &mut Watchdog,
-    now: Cycle,
-    machine_event: Option<Cycle>,
-) -> Option<Stop> {
-    watchdog.arm_next(now);
-    let mut unfinished = 0usize;
-    let mut sync_waiting = 0usize;
-    for sm in shards {
-        let sh = sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for e in sh.engines.iter().flatten() {
-            if let Some(reason) = e.fault_exhausted() {
-                return Some(Stop::Faulted(e.id(), reason));
+    fn deliver(&mut self, port: usize, packet: Packet) {
+        if let Payload::Reply(r) = packet.payload {
+            if matches!(r.stream, Stream::Prefetch { .. }) {
+                Arc::make_mut(self.histogram)
+                    .record(self.now.saturating_since(r.req_issued) as usize);
             }
-            if !e.is_done() {
-                unfinished += 1;
-                if e.sync_blocked() {
-                    sync_waiting += 1;
+            // Shards are in port order: the first one ending past `port`
+            // owns it (ports beyond the CE side belong to nobody).
+            let home = self
+                .held
+                .iter_mut()
+                .map(|sh| &mut **sh)
+                .find(|sh| port < sh.first_port + sh.engines.len());
+            if let Some(sh) = home {
+                if let Some(e) = &mut sh.engines[port - sh.first_port] {
+                    e.receive(self.now, r);
                 }
             }
+        } else {
+            debug_assert!(false, "request packet delivered to CE side");
         }
     }
-    // The caller only inspects while work remains (the loop head breaks
-    // on completion), so a drained event horizon means a dead machine.
-    if machine_event.is_none() {
-        return Some(Stop::Deadlock("event starvation"));
-    }
-    if unfinished > 0 && sync_waiting == unfinished {
-        watchdog.sync_stuck += 1;
-        if watchdog.sync_stuck >= STUCK_SYNC_CHECKS {
-            return Some(Stop::Deadlock("synchronization stall"));
+}
+
+/// What the coordinator and its workers share when more than one shard
+/// runs. A one-shard run builds none of it.
+struct Workers {
+    go: SpinBarrier,
+    handoff: SpinBarrier,
+    stop: AtomicBool,
+    /// One round's work order: run cycles `base+1 ..= base+len` (`len > 1`
+    /// is a chunked round, which drains the shadow injector rings).
+    base: AtomicU64,
+    len: AtomicU64,
+    /// Rounds completed (a statistic for the profiler and hang reports).
+    rounds: AtomicU64,
+    sync_waits: Vec<SyncWait>,
+    /// Whether barrier waits are timed (host profiling is on).
+    timed: bool,
+}
+
+impl Workers {
+    fn new(threads: usize, timed: bool) -> Workers {
+        Workers {
+            go: SpinBarrier::new(threads),
+            handoff: SpinBarrier::new(threads),
+            stop: AtomicBool::new(false),
+            base: AtomicU64::new(0),
+            len: AtomicU64::new(1),
+            rounds: AtomicU64::new(0),
+            sync_waits: (0..threads)
+                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
+                .collect(),
+            timed,
         }
-    } else {
-        watchdog.sync_stuck = 0;
     }
-    None
+
+    fn acc(&self, w: usize) -> Option<&SyncWait> {
+        self.timed.then(|| &self.sync_waits[w])
+    }
+
+    /// Worker `w`'s life: run the ordered cycles on its shard each round
+    /// until told to stop.
+    fn serve(&self, w: usize, shard: &Mutex<Shard>) {
+        loop {
+            timed_wait(&self.go, self.acc(w));
+            if self.stop.load(Ordering::Acquire) {
+                return;
+            }
+            let base = self.base.load(Ordering::Acquire);
+            let len = self.len.load(Ordering::Acquire);
+            let mut sh = hold(shard);
+            for k in 1..=len {
+                sh.tick(Cycle(base + k), len > 1, None);
+            }
+            drop(sh);
+            timed_wait(&self.handoff, self.acc(w));
+        }
+    }
+}
+
+/// Lets the workers go home when the coordinator leaves the scope — by
+/// return or by panic. A coordinator panic (e.g. a violated debug
+/// assertion) would otherwise unwind into the scope's implicit join while
+/// the workers spin at `go`. This covers the between-rounds window, where
+/// every coordinator-side assertion lives — a panic inside a shard tick
+/// (on either side of the `go`/`handoff` pair) still hangs, as it must
+/// under any barrier scheme.
+struct ReleaseWorkers<'a>(&'a Workers);
+
+impl Drop for ReleaseWorkers<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::Release);
+        self.0.go.wait();
+    }
 }
 
 impl Machine {
-    /// The parallel run loop: shard the clusters across
-    /// `effective_threads` scoped workers and step the machine in
-    /// lookahead-sized chunks with a two-barrier exchange per round. See
-    /// the module docs for the chunking scheme and the determinism
-    /// argument.
-    ///
-    /// Fast-forward runs on the coordinator after the exchange phase: at
-    /// that point the machine state is exactly the serial engine's
-    /// post-tick state, so the skip decision (and the bulk credit) is
-    /// identical to the serial one. Jumping `now` between iterations is
-    /// transparent to the parked workers — the cycle atomic is re-stored
-    /// every round.
-    pub(crate) fn run_loop_parallel(
+    /// The run loop: partition the clusters across `effective_threads`
+    /// shards and step the machine round by round until every program
+    /// completes. See the module docs for what one shard and several
+    /// shards do differently, and for the determinism argument.
+    pub(crate) fn run_loop(
         &mut self,
         start: Cycle,
         limit: u64,
-        fastfwd: bool,
         watchdog: &mut Watchdog,
         ckpt: &mut Option<crate::snapshot::CkptCtl<'_>>,
     ) -> Result<()> {
         let threads = self.effective_threads();
-        debug_assert!(threads > 1, "parallel loop needs two or more workers");
-        let cpc = self.cfg.ces_per_cluster;
-        let n_clusters = self.cfg.clusters;
-        let ce_ports = n_clusters * cpc;
-        // An explicit configured chunk length wins (tests pin lengths so
-        // they stay meaningful under a CI env matrix); otherwise the
-        // environment steers. 0 means the automatic lookahead bound.
-        let chunk_cap = if self.cfg.chunk_cycles > 0 {
-            self.cfg.chunk_cycles as u64
-        } else {
-            crate::env::chunk_cycles_from_env().unwrap_or(0) as u64
-        };
-        // Minimum module service time: the floor under every
-        // request-to-reply bound in the horizon (sync requests only add
-        // to it). Validation guarantees it is at least 1.
-        let min_service = u64::from(self.cfg.global_memory.service_cycles);
-        let queue_cap = self.forward.stage_queue_cap();
-        let injector_cap = self.forward.injector_capacity();
-        let prof_on = self.profiler.is_some();
-
-        // Partition the clusters (and their engines) contiguously, as
-        // evenly as possible.
-        let mut cluster_iter = std::mem::take(&mut self.clusters).into_iter();
-        let mut engine_iter = std::mem::take(&mut self.engines).into_iter();
-        let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(threads);
-        let mut cluster_of = Vec::with_capacity(n_clusters);
-        let mut first_cluster = 0;
-        for w in 0..threads {
-            let count = n_clusters / threads + usize::from(w < n_clusters % threads);
-            let clusters: Vec<Cluster> = cluster_iter.by_ref().take(count).collect();
-            let engines: Vec<Option<CeEngine>> = engine_iter.by_ref().take(count * cpc).collect();
-            let stages = (0..count * cpc)
-                .map(|i| PortStage {
-                    port: first_cluster * cpc + i,
-                    cap: injector_cap,
-                    down: false,
-                    blocked: 0,
-                    ring: [0; INJ_CAP],
-                    ring_len: 0,
-                    now: start,
-                    staged: Vec::new(),
-                    replayed: 0,
-                })
-                .collect();
-            let done_since = engines
-                .iter()
-                .flatten()
-                .all(CeEngine::is_done)
-                .then_some(start);
-            cluster_of.extend(std::iter::repeat_n(w, count));
-            shards.push(Mutex::new(Shard {
-                first_cluster,
-                clusters,
-                engines,
-                stages,
-                events: EventTracer::with_capacity(usize::MAX),
-                events_cursor: 0,
-                page_table: PageTable::new(),
-                done_since,
-            }));
-            first_cluster += count;
-        }
-
-        let (result, chunked) = {
-            let Machine {
-                cfg,
-                now,
-                forward,
-                reverse,
-                gmem,
-                counters,
-                barriers,
-                tracer,
-                latency_histogram,
-                timeline,
-                util_scratch,
-                fastfwd_skipped,
-                fault_sched,
-                profiler,
-                page_table,
-                trace_store,
-                next_sync_slot,
-                next_bus_barrier_slot,
-                program_meta,
-                lowered,
-                ..
-            } = &mut *self;
-            let counters: &[CounterDef] = counters;
-            let barriers: &[BarrierDef] = barriers;
-            let go = SpinBarrier::new(threads);
-            let handoff = SpinBarrier::new(threads);
-            let stop = AtomicBool::new(false);
-            // One round's work order for the workers: run cycles
-            // `base+1 ..= base+len` (`len > 1` implies a chunked round,
-            // which drains the shadow injector rings).
-            let cycle = AtomicU64::new(now.0);
-            let chunk_len = AtomicU64::new(1);
-            let sync_waits: Vec<SyncWait> = (0..threads)
-                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-                .collect();
-            let shards = &shards;
-
-            let scoped = std::thread::scope(|s| {
+        let shards = self.split_shards(threads, start);
+        let workers = (threads > 1).then(|| Workers::new(threads, self.profiler.is_some()));
+        let result = std::thread::scope(|s| {
+            let workers = workers.as_ref();
+            if let Some(crew) = workers {
                 for (w, shard) in shards.iter().enumerate().skip(1) {
-                    let (go, handoff, stop) = (&go, &handoff, &stop);
-                    let (cycle, chunk_len) = (&cycle, &chunk_len);
-                    let acc = prof_on.then(|| &sync_waits[w]);
-                    s.spawn(move || loop {
-                        timed_wait(go, acc);
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let base = cycle.load(Ordering::Acquire);
-                        let len = chunk_len.load(Ordering::Acquire);
-                        let mut sh = shard
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        for k in 1..=len {
-                            sh.tick(Cycle(base + k), len > 1, counters, barriers);
-                        }
-                        drop(sh);
-                        timed_wait(handoff, acc);
-                    });
+                    s.spawn(move || crew.serve(w, shard));
                 }
+            }
+            let _release = workers.map(ReleaseWorkers);
+            self.run_rounds(&shards, workers, start, limit, watchdog, ckpt)
+        });
 
-                // A coordinator panic (e.g. a violated debug assertion)
-                // would unwind into the scope's implicit join while the
-                // workers spin at `go`; release them first or the join
-                // never returns. This covers the between-rounds window,
-                // where every coordinator-side assertion lives — a panic
-                // inside a shard tick (on either side of the
-                // `go`/`handoff` pair) still hangs, as it must under any
-                // barrier scheme.
-                struct ReleaseOnPanic<'a> {
-                    stop: &'a AtomicBool,
-                    go: &'a SpinBarrier,
-                    armed: bool,
-                }
-                impl Drop for ReleaseOnPanic<'_> {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            self.stop.store(true, Ordering::Release);
-                            self.go.wait();
-                        }
-                    }
-                }
-                let mut guard = ReleaseOnPanic {
-                    stop: &stop,
-                    go: &go,
-                    armed: true,
-                };
-
-                let acc0 = prof_on.then(|| &sync_waits[0]);
-                let mut rounds = 0u64;
-                let mut last_chunk = 1u64;
-                let result = loop {
-                    // Direct engine doneness, not the tick-maintained
-                    // `done_since` marker: an engine can finish during a
-                    // fast-forward skip, between shard ticks, which the
-                    // marker cannot observe.
-                    let ces_done = shards.iter().all(|s| {
-                        s.lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .engines
-                            .iter()
-                            .flatten()
-                            .all(CeEngine::is_done)
-                    });
-                    if ces_done && forward.is_idle() && reverse.is_idle() && gmem.is_idle() {
-                        break Ok(());
-                    }
-                    // Watchdog before the budget check, as in the serial
-                    // loop: a true deadlock surfaces as `Deadlock`.
-                    if watchdog.due(*now) {
-                        let t = *now;
-                        let mut ev = min_event(forward.next_event(t), reverse.next_event(t));
-                        ev = min_event(ev, gmem.next_event(t));
-                        if let Some(fs) = fault_sched.as_ref() {
-                            ev = min_event(ev, fs.next_event(t));
-                        }
-                        let (shard_ev, _) = next_shard_event(shards, t, counters);
-                        ev = min_event(ev, shard_ev);
-                        if let Some(stop) = shard_progress_verdict(shards, watchdog, t, ev) {
-                            break Err(stop);
-                        }
-                    }
-                    if now.saturating_since(start) > limit {
-                        break Err(Stop::Limit);
-                    }
-
-                    // Chunk scheduling: the delivery-free horizon — the
-                    // minimum over every source that could put a reply
-                    // into the reverse network (module-doc derivation) —
-                    // clamped by every event that must land on its exact
-                    // cycle.
-                    let t0 = *now;
-                    let mut l: u64 = if !reverse.is_idle() {
-                        0
-                    } else {
-                        // A fresh CE request staged at t0+1: injector
-                        // drain at t0+2, module delivery at t0+3, then
-                        // service and the 1-word-reply delivery bound.
-                        let mut h = min_service + 4;
-                        if !forward.is_idle() {
-                            // An in-flight request: module delivery at
-                            // t0+1, service pickup at t0+2.
-                            h = h.min(min_service + 2);
-                        }
-                        if let Some(ev) = gmem.next_event(t0) {
-                            // A busy module: its earliest visible action
-                            // is the reply injection itself, and a 1-word
-                            // reply delivers the cycle after.
-                            h = h.min(ev.saturating_since(t0));
-                        }
-                        h
-                    };
-                    if l > 1 {
-                        if chunk_cap > 0 {
-                            l = l.min(chunk_cap);
-                        }
-                        l = l.min(watchdog.next_check().saturating_since(t0));
-                        l = l.min(timeline.next_boundary().saturating_since(t0));
-                        l = l.min(
-                            start
-                                .0
-                                .saturating_add(limit)
-                                .saturating_add(1)
-                                .saturating_sub(t0.0),
-                        );
-                        if let Some(fs) = fault_sched.as_ref() {
-                            if let Some(ev) = fs.next_event(t0) {
-                                l = l.min(ev.saturating_since(t0).saturating_sub(1));
-                            }
-                        }
-                        // Injector headroom: the shadow drain is one word
-                        // per cycle only while the real drain can't block
-                        // on a full stage-0 queue. The +1 when the ring
-                        // starts empty reflects that the first staged
-                        // packet reaches the real ring a cycle later.
-                        for port in 0..ce_ports {
-                            if l <= 1 {
-                                break;
-                            }
-                            let room = (queue_cap - forward.stage0_queue_len(port)) as u64
-                                + u64::from(forward.injector_len(port) == 0);
-                            l = l.min(room);
-                        }
-                    }
-
-                    last_chunk = l.max(1);
-                    if l <= 1 {
-                        // ---- Per-cycle round (the CEDAR_CHUNK_CYCLES=1
-                        // hatch). Serial phases first, in the serial
-                        // engine's order: fault schedule, memory, reverse
-                        // network (delivering into shard engines),
-                        // forward network.
-                        *now += 1;
-                        let t = *now;
-                        forward.set_trace_now(t);
-                        reverse.set_trace_now(t);
-                        if let Some(fs) = fault_sched.as_mut() {
-                            profiled(profiler, region::FAULTS, || {
-                                fs.apply_due(t, forward, reverse, gmem);
-                            });
-                        }
-                        profiled(profiler, region::GMEM, || gmem.tick(t, reverse));
-                        profiled(profiler, region::REVERSE, || {
-                            let mut sink = ShardCeSink {
-                                shards,
-                                cluster_of: &cluster_of,
-                                ces_per_cluster: cpc,
-                                histogram: latency_histogram,
-                                now: t,
-                            };
-                            // Constant epoch: the CE side always accepts.
-                            reverse.tick_epoch(&mut sink, 0);
-                        });
-                        profiled(profiler, region::FORWARD, || {
-                            let epoch = gmem.accept_epoch();
-                            forward.tick_epoch(&mut *gmem, epoch);
-                        });
-                        // Freeze this cycle's injector state into the
-                        // staging buffers (post-tick occupancy; the ring
-                        // word counts are not consulted without drain).
-                        for sm in shards.iter() {
-                            let mut sh =
-                                sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                            for st in &mut sh.stages {
-                                st.down = forward.port_link_down(st.port);
-                                st.ring_len = forward.injector_len(st.port);
-                                debug_assert!(st.staged.is_empty(), "stage not drained");
-                            }
-                        }
-                        cycle.store(t0.0, Ordering::Release);
-                        chunk_len.store(1, Ordering::Release);
-
-                        // Cluster phase: all workers (this thread is
-                        // shard 0's).
-                        timed_wait(&go, acc0);
-                        profiled(profiler, region::CLUSTER, || {
-                            shards[0]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .tick(t, false, counters, barriers);
-                        });
-                        timed_wait(&handoff, acc0);
-
-                        // Exchange phase: replay staged traffic in
-                        // (cluster, CE) order — the serial engine's exact
-                        // order — and merge trace events likewise.
-                        profiled(profiler, region::EXCHANGE, || {
-                            let mut blocked = 0u64;
-                            for sm in shards.iter() {
-                                let mut sh =
-                                    sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                                let Shard {
-                                    stages,
-                                    events,
-                                    events_cursor,
-                                    ..
-                                } = &mut *sh;
-                                for st in stages.iter_mut() {
-                                    for (_, pkt) in st.staged.drain(..) {
-                                        let accepted = forward.try_inject(st.port, pkt);
-                                        debug_assert!(
-                                            accepted,
-                                            "staged injection exceeded capacity"
-                                        );
-                                    }
-                                    blocked += std::mem::take(&mut st.blocked);
-                                }
-                                for &(at, tag) in events.events() {
-                                    tracer.post(at, tag);
-                                }
-                                events.clear();
-                                *events_cursor = 0;
-                            }
-                            if blocked > 0 {
-                                forward.add_link_blocked(blocked);
-                            }
-                        });
-                    } else {
-                        // ---- Chunked round: workers run `l` cycles of
-                        // pure cluster work; the coordinator then replays
-                        // the shared components per cycle.
-                        for sm in shards.iter() {
-                            let mut sh =
-                                sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                            for st in &mut sh.stages {
-                                st.down = forward.port_link_down(st.port);
-                                let (ring, len) = forward.injector_backlog(st.port);
-                                st.ring = ring;
-                                st.ring_len = len;
-                                debug_assert!(st.staged.is_empty(), "stage not drained");
-                            }
-                        }
-                        cycle.store(t0.0, Ordering::Release);
-                        chunk_len.store(l, Ordering::Release);
-
-                        timed_wait(&go, acc0);
-                        profiled(profiler, region::CLUSTER, || {
-                            let mut sh = shards[0]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            for k in 1..=l {
-                                sh.tick(Cycle(t0.0 + k), true, counters, barriers);
-                            }
-                        });
-                        timed_wait(&handoff, acc0);
-
-                        // Replay: the shared components observe the exact
-                        // serial call sequence for each chunk cycle, with
-                        // that cycle's staged injections and trace events
-                        // applied in (cluster, CE) order afterwards.
-                        #[cfg(debug_assertions)]
-                        let delivered_before = reverse.stats().packets_delivered;
-                        let chunk_end = Cycle(t0.0 + l);
-                        let mut completed = false;
-                        while *now < chunk_end && !completed {
-                            *now += 1;
-                            let u = *now;
-                            forward.set_trace_now(u);
-                            reverse.set_trace_now(u);
-                            if let Some(fs) = fault_sched.as_mut() {
-                                profiled(profiler, region::FAULTS, || {
-                                    fs.apply_due(u, forward, reverse, gmem);
-                                });
-                            }
-                            profiled(profiler, region::GMEM, || gmem.tick(u, reverse));
-                            profiled(profiler, region::REVERSE, || {
-                                let mut sink = ShardCeSink {
-                                    shards,
-                                    cluster_of: &cluster_of,
-                                    ces_per_cluster: cpc,
-                                    histogram: latency_histogram,
-                                    now: u,
-                                };
-                                reverse.tick_epoch(&mut sink, 0);
-                            });
-                            #[cfg(debug_assertions)]
-                            debug_assert_eq!(
-                                reverse.stats().packets_delivered,
-                                delivered_before,
-                                "lookahead violated: a delivery landed at cycle {} \
-                                 inside the chunk t0={} l={l}",
-                                u.0,
-                                t0.0,
-                            );
-                            profiled(profiler, region::FORWARD, || {
-                                let epoch = gmem.accept_epoch();
-                                forward.tick_epoch(&mut *gmem, epoch);
-                            });
-                            profiled(profiler, region::EXCHANGE, || {
-                                let mut all_done = true;
-                                for sm in shards.iter() {
-                                    let mut sh = sm
-                                        .lock()
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                    all_done &= sh.done_since.is_some_and(|d| d <= u);
-                                    let Shard {
-                                        stages,
-                                        events,
-                                        events_cursor,
-                                        ..
-                                    } = &mut *sh;
-                                    for st in stages.iter_mut() {
-                                        while let Some(&(at, pkt)) = st.staged.get(st.replayed) {
-                                            if at != u {
-                                                break;
-                                            }
-                                            let accepted = forward.try_inject(st.port, pkt);
-                                            debug_assert!(
-                                                accepted,
-                                                "staged injection exceeded capacity"
-                                            );
-                                            st.replayed += 1;
-                                        }
-                                    }
-                                    let evs = events.events();
-                                    while let Some(&(at, tag)) = evs.get(*events_cursor) {
-                                        if at != u {
-                                            break;
-                                        }
-                                        tracer.post(at, tag);
-                                        *events_cursor += 1;
-                                    }
-                                }
-                                // Stop replaying where the serial loop
-                                // would stop ticking: everything done and
-                                // drained at the end of cycle `u`.
-                                if all_done
-                                    && forward.is_idle()
-                                    && reverse.is_idle()
-                                    && gmem.is_idle()
-                                {
-                                    completed = true;
-                                }
-                            });
-                        }
-                        if completed && *now < chunk_end {
-                            // The workers overshot the completion cycle;
-                            // every overshot tick of a done engine is a
-                            // pure `idle += 1`, so retract the overshoot
-                            // and stats match the serial loop exactly.
-                            let over = chunk_end.saturating_since(*now);
-                            for sm in shards.iter() {
-                                let mut sh =
-                                    sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                                for e in sh.engines.iter_mut().flatten() {
-                                    e.uncount_idle(over);
-                                }
-                            }
-                        }
-                        let mut blocked = 0u64;
-                        for sm in shards.iter() {
-                            let mut sh =
-                                sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                            let Shard {
-                                stages,
-                                events,
-                                events_cursor,
-                                ..
-                            } = &mut *sh;
-                            for st in stages.iter_mut() {
-                                debug_assert_eq!(
-                                    st.replayed,
-                                    st.staged.len(),
-                                    "unreplayed staged injection"
-                                );
-                                st.staged.clear();
-                                st.replayed = 0;
-                                blocked += std::mem::take(&mut st.blocked);
-                            }
-                            debug_assert_eq!(
-                                *events_cursor,
-                                events.events().len(),
-                                "unmerged trace event"
-                            );
-                            events.clear();
-                            *events_cursor = 0;
-                        }
-                        if blocked > 0 {
-                            forward.add_link_blocked(blocked);
-                        }
-                    }
-                    rounds += 1;
-
-                    let t = *now;
-                    if timeline.due(t) {
-                        profiled(profiler, region::TIMELINE, || {
-                            fill_shard_samples(shards, util_scratch);
-                            timeline.record(util_scratch);
-                        });
-                    }
-
-                    // Fast-forward: the state here equals the serial
-                    // engine's post-tick state, so the same skip decision
-                    // applies. Workers are parked at `go`; they observe
-                    // nothing until the cycle atomic is stored again.
-                    if fastfwd && forward.is_idle() && reverse.is_idle() {
-                        let soon = t + 1;
-                        let mut ev = gmem.next_event(t);
-                        if ev != Some(soon) {
-                            if let Some(fs) = fault_sched.as_ref() {
-                                ev = min_event(ev, fs.next_event(t));
-                            }
-                        }
-                        let mut ces_done = false;
-                        if ev != Some(soon) {
-                            let (shard_ev, done) = next_shard_event(shards, t, counters);
-                            ev = min_event(ev, shard_ev);
-                            ces_done = done;
-                        }
-                        let deadlock_cap = Cycle(start.0.saturating_add(limit).saturating_add(2));
-                        let target = match ev {
-                            Some(e) if e > soon => Some(e.min(deadlock_cap)),
-                            Some(_) => None,
-                            None if ces_done => None,
-                            None => Some(deadlock_cap),
-                        };
-                        if let Some(target) = target {
-                            profiled(profiler, region::FASTFWD, || {
-                                while *now + 1 < target {
-                                    let boundary = timeline.next_boundary();
-                                    let chunk_end = boundary.min(Cycle(target.0 - 1)).max(*now + 1);
-                                    let k = chunk_end - *now;
-                                    gmem.skip(k);
-                                    for sm in shards.iter() {
-                                        let mut sh = sm
-                                            .lock()
-                                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                        for e in sh.engines.iter_mut().flatten() {
-                                            e.skip(*now, k);
-                                        }
-                                    }
-                                    *fastfwd_skipped += k;
-                                    *now = chunk_end;
-                                    if timeline.due(*now) {
-                                        fill_shard_samples(shards, util_scratch);
-                                        timeline.record(util_scratch);
-                                    }
-                                }
-                            });
-                        }
-                    }
-
-                    // Auto-checkpoint, only ever at a chunk-exchange
-                    // boundary: the workers are parked at `go`, every
-                    // staged injection and trace event is drained, and
-                    // the shard state equals the serial engine's
-                    // post-tick state — walking the shards in order
-                    // writes the exact payload the serial loop would.
-                    if let Some(ck) = ckpt.as_mut() {
-                        if *now >= ck.next {
-                            let run = crate::snapshot::RunSnap {
-                                start: ck.start,
-                                limit: ck.limit,
-                                wd_next_check: watchdog.next_check(),
-                                wd_sync_stuck: watchdog.sync_stuck,
-                                stats_start: ck.stats_start,
-                            };
-                            let ctx = crate::snapshot::SaveCtx {
-                                cfg,
-                                lowered: *lowered,
-                                now: *now,
-                                forward,
-                                reverse,
-                                gmem,
-                                page_table,
-                                tracer,
-                                latency_histogram,
-                                timeline,
-                                fastfwd_skipped: *fastfwd_skipped,
-                                fault_sched: fault_sched.as_ref(),
-                                trace_store,
-                                counters,
-                                barriers,
-                                next_sync_slot: *next_sync_slot,
-                                next_bus_barrier_slot: *next_bus_barrier_slot,
-                                program_meta: *program_meta,
-                                run: Some(run),
-                            };
-                            let guards: Vec<_> = shards
-                                .iter()
-                                .map(|sm| {
-                                    sm.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-                                })
-                                .collect();
-                            let payload = crate::snapshot::save_payload(
-                                &ctx,
-                                guards.iter().flat_map(|g| g.clusters.iter()),
-                                guards.iter().flat_map(|g| g.engines.iter()),
-                            );
-                            drop(guards);
-                            let image = crate::snapshot::frame_payload(&payload);
-                            if let Err(e) = crate::snapshot::write_snapshot_file(&ck.path, &image) {
-                                break Err(Stop::Snapshot(e));
-                            }
-                            ck.next = *now + ck.every;
-                        }
-                    }
-                };
-                guard.armed = false;
-                stop.store(true, Ordering::Release);
-                timed_wait(&go, acc0);
-                if let Some(p) = profiler.as_deref_mut() {
-                    for (w, (ns, waits)) in sync_waits.iter().enumerate() {
-                        p.add_named(
-                            &format!("sync_wait_w{w}"),
-                            waits.load(Ordering::Relaxed),
-                            ns.load(Ordering::Relaxed),
-                        );
-                    }
-                    p.add_named("exchanges", rounds, 0);
-                }
-                (result, rounds, last_chunk)
-            });
-
-            let (result, rounds, last_chunk) = scoped;
-            let worker_sync_waits: Vec<(usize, u64, u64)> = sync_waits
+        // Reassemble the machine whether the run finished or stopped
+        // early: `report`/`stats` need the clusters and engines back.
+        for shard in shards {
+            let sh = shard
+                .into_inner()
+                .expect("a shard worker panicked mid-tick");
+            self.clusters.extend(sh.clusters);
+            self.engines.extend(sh.engines);
+        }
+        let Some(workers) = workers else {
+            return result;
+        };
+        let chunked = ChunkedContext {
+            chunk_cycles: workers.len.load(Ordering::Relaxed),
+            exchanges: workers.rounds.load(Ordering::Relaxed),
+            worker_sync_waits: workers
+                .sync_waits
                 .iter()
                 .enumerate()
                 .map(|(w, (ns, waits))| {
                     (w, waits.load(Ordering::Relaxed), ns.load(Ordering::Relaxed))
                 })
-                .collect();
-            (
-                result,
-                ChunkedContext {
-                    chunk_cycles: last_chunk,
-                    exchanges: rounds,
-                    worker_sync_waits,
-                },
-            )
+                .collect(),
         };
-
-        // Reassemble the machine whether the run finished or stopped
-        // early: `report`/`stats` — and a hang report — need the engines
-        // back in place.
-        for sm in shards {
-            let sh = sm
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            self.clusters.extend(sh.clusters);
-            self.engines.extend(sh.engines);
-        }
-        match result {
-            Ok(()) => Ok(()),
-            Err(Stop::Limit) => Err(MachineError::CycleLimitExceeded { limit }),
-            Err(Stop::Deadlock(kind)) => {
-                let mut report = self.hang_report(kind);
-                report.chunked = Some(chunked);
-                Err(MachineError::Deadlock {
-                    report: Box::new(report),
-                })
+        if let Some(p) = self.profiler.as_deref_mut() {
+            for &(w, waits, ns) in &chunked.worker_sync_waits {
+                p.add_named(&format!("sync_wait_w{w}"), waits, ns);
             }
-            Err(Stop::Faulted(ce, reason)) => Err(MachineError::Faulted { ce, reason }),
-            Err(Stop::Snapshot(e)) => Err(e),
+            p.add_named("exchanges", chunked.exchanges, 0);
+        }
+        result.map_err(|e| match e {
+            MachineError::Deadlock { mut report } => {
+                report.chunked = Some(chunked);
+                MachineError::Deadlock { report }
+            }
+            e => e,
+        })
+    }
+
+    /// Move the clusters and engines out of the machine into `threads`
+    /// contiguous shards, as evenly as possible. Several shards stage
+    /// their injections; a lone shard injects directly and gets no stages.
+    fn split_shards(&mut self, threads: usize, start: Cycle) -> Vec<Mutex<Shard>> {
+        let cpc = self.cfg.ces_per_cluster;
+        let n_clusters = self.cfg.clusters;
+        let injector_cap = self.forward.injector_capacity();
+        let counters: Arc<[CounterDef]> = self.counters.as_slice().into();
+        let barriers: Arc<[BarrierDef]> = self.barriers.as_slice().into();
+        let mut cluster_iter = std::mem::take(&mut self.clusters).into_iter();
+        let mut engine_iter = std::mem::take(&mut self.engines).into_iter();
+        let mut first_cluster = 0;
+        (0..threads)
+            .map(|w| {
+                let count = n_clusters / threads + usize::from(w < n_clusters % threads);
+                let first_port = first_cluster * cpc;
+                let engines: Vec<Option<CeEngine>> =
+                    engine_iter.by_ref().take(count * cpc).collect();
+                let stages = (0..if threads > 1 { count * cpc } else { 0 })
+                    .map(|i| PortStage {
+                        port: first_port + i,
+                        cap: injector_cap,
+                        down: false,
+                        blocked: 0,
+                        ring: [0; INJ_CAP],
+                        ring_len: 0,
+                        now: start,
+                        staged: Vec::new(),
+                        replayed: 0,
+                    })
+                    .collect();
+                let shard = Shard {
+                    first_cluster,
+                    first_port,
+                    clusters: cluster_iter.by_ref().take(count).collect(),
+                    done_since: None,
+                    engines,
+                    stages,
+                    events: EventTracer::with_capacity(usize::MAX),
+                    events_cursor: 0,
+                    page_table: PageTable::new(),
+                    counters: Arc::clone(&counters),
+                    barriers: Arc::clone(&barriers),
+                };
+                first_cluster += count;
+                Mutex::new(shard)
+            })
+            .collect()
+    }
+
+    /// The rounds of one run, on the coordinator. Each round advances the
+    /// machine `len` cycles: one when the reverse network may deliver
+    /// (shared components first, then the clusters — the only order in
+    /// which a CE can see this cycle's replies), the lookahead horizon
+    /// when it cannot (clusters first, then the shared components replayed
+    /// cycle by cycle against the staged injections). A lone shard injects
+    /// directly, so it never has anything to replay and always steps one
+    /// cycle.
+    ///
+    /// Fast-forward and the auto-checkpoint run between rounds: every
+    /// staged injection and trace event is drained there, so the machine
+    /// state is the same on every shard count.
+    fn run_rounds<'s>(
+        &mut self,
+        shards: &'s [Mutex<Shard>],
+        workers: Option<&Workers>,
+        start: Cycle,
+        limit: u64,
+        watchdog: &mut Watchdog,
+        ckpt: &mut Option<crate::snapshot::CkptCtl<'_>>,
+    ) -> Result<()> {
+        let fastfwd = self.cfg.fast_forward && !crate::config::fastfwd_disabled_from_env();
+        let staged = workers.is_some();
+        let mut held: Vec<Held<'s>> = shards.iter().map(hold).collect();
+        while !self.all_done(&held) {
+            // Watchdog before the budget check: a true deadlock should
+            // surface as `Deadlock` (with its hang report), never as a
+            // generic `CycleLimitExceeded`.
+            if watchdog.due(self.now) {
+                self.check_progress(&held, watchdog)?;
+            }
+            if self.now.saturating_since(start) > limit {
+                return Err(MachineError::CycleLimitExceeded { limit });
+            }
+            let t0 = self.now;
+            let len = if staged {
+                self.chunk_len(watchdog, start, limit).max(1)
+            } else {
+                1
+            };
+
+            if len == 1 {
+                self.now += 1;
+                self.shared_phases(&mut held);
+            }
+            if staged {
+                // Freeze the injector state the shadow rings start from
+                // (post-tick occupancy on a one-cycle round).
+                for st in held.iter_mut().flat_map(|sh| sh.stages.iter_mut()) {
+                    st.down = self.forward.port_link_down(st.port);
+                    (st.ring, st.ring_len) = self.forward.injector_backlog(st.port);
+                    debug_assert!(st.staged.is_empty(), "stage not drained");
+                }
+            }
+
+            // Cluster phase: every worker on its own shard, this thread on
+            // shard 0 (the only one it keeps holding meanwhile).
+            held.truncate(1);
+            if let Some(w) = workers {
+                w.base.store(t0.0, Ordering::Release);
+                w.len.store(len, Ordering::Release);
+                timed_wait(&w.go, w.acc(0));
+            }
+            {
+                let Machine {
+                    profiler,
+                    forward,
+                    tracer,
+                    page_table,
+                    ..
+                } = &mut *self;
+                let mut direct = (!staged).then_some(Direct {
+                    forward,
+                    tracer,
+                    page_table,
+                });
+                profiled(profiler, region::CLUSTER, || {
+                    for k in 1..=len {
+                        held[0].tick(Cycle(t0.0 + k), len > 1, direct.as_mut());
+                    }
+                });
+            }
+            if let Some(w) = workers {
+                timed_wait(&w.handoff, w.acc(0));
+            }
+            held.extend(shards[1..].iter().map(hold));
+
+            if let Some(w) = workers {
+                if len == 1 {
+                    self.exchange(&mut held);
+                } else {
+                    self.replay_chunk(&mut held, Cycle(t0.0 + len));
+                }
+                let mut blocked = 0u64;
+                for sh in held.iter_mut() {
+                    for st in &mut sh.stages {
+                        debug_assert_eq!(st.replayed, st.staged.len(), "unreplayed injection");
+                        st.staged.clear();
+                        st.replayed = 0;
+                        blocked += std::mem::take(&mut st.blocked);
+                    }
+                    debug_assert_eq!(sh.events_cursor, sh.events.events().len());
+                    sh.events.clear();
+                    sh.events_cursor = 0;
+                }
+                if blocked > 0 {
+                    self.forward.add_link_blocked(blocked);
+                }
+                w.rounds.fetch_add(1, Ordering::Relaxed);
+            }
+
+            let mut prof = self.profiler.take();
+            if self.timeline.due(self.now) {
+                profiled(&mut prof, region::TIMELINE, || {
+                    fill_util_samples(&held, &mut self.util_scratch);
+                    self.timeline.record(&self.util_scratch);
+                });
+            }
+            if fastfwd {
+                profiled(&mut prof, region::FASTFWD, || {
+                    self.try_fast_forward(&mut held, start, limit);
+                });
+            }
+            self.profiler = prof;
+
+            // Auto-checkpoint between rounds: post-tick (and post-skip)
+            // state is always self-consistent here, whether the run is
+            // mid-fast-forward, mid-outage or mid-journey, and walking the
+            // shards in order writes the same bytes on every shard count.
+            if let Some(ck) = ckpt.as_mut() {
+                if self.now >= ck.next {
+                    let image = self.run_image(clusters(&held), engine_slots(&held), ck, watchdog);
+                    crate::snapshot::write_snapshot_file(&ck.path, &image)?;
+                    ck.next = self.now + ck.every;
+                }
+            }
+        }
+        fill_util_samples(&held, &mut self.util_scratch);
+        self.timeline.finish(self.now, &self.util_scratch);
+        Ok(())
+    }
+
+    /// The shared components' half of cycle `self.now`, in the one order
+    /// everything downstream depends on: fault schedule, memory, reverse
+    /// network (delivering into the engines), forward network.
+    fn shared_phases(&mut self, held: &mut [Held<'_>]) {
+        let Machine {
+            now,
+            forward,
+            reverse,
+            gmem,
+            fault_sched,
+            latency_histogram,
+            profiler,
+            ..
+        } = self;
+        let now = *now;
+        // The omegas have no absolute clock of their own; give their
+        // tracing layer (if any) the cycle before any network activity.
+        forward.set_trace_now(now);
+        reverse.set_trace_now(now);
+        if let Some(fs) = fault_sched {
+            profiled(profiler, region::FAULTS, || {
+                fs.apply_due(now, forward, reverse, gmem);
+            });
+        }
+        profiled(profiler, region::GMEM, || gmem.tick(now, reverse));
+        profiled(profiler, region::REVERSE, || {
+            let mut sink = CeSink {
+                held,
+                histogram: latency_histogram,
+                now,
+            };
+            // The CE side always accepts (try_begin is constant), so the
+            // reverse network runs under a constant acceptance epoch.
+            reverse.tick_epoch(&mut sink, 0);
+        });
+        profiled(profiler, region::FORWARD, || {
+            let epoch = gmem.accept_epoch();
+            forward.tick_epoch(gmem, epoch);
+        });
+    }
+
+    /// Apply cycle `self.now`'s staged injections to the real forward
+    /// network and merge its trace events into the machine tracer, in
+    /// (cluster, CE) order — the order direct injection produces.
+    fn exchange(&mut self, held: &mut [Held<'_>]) {
+        let Machine {
+            now,
+            forward,
+            tracer,
+            profiler,
+            ..
+        } = self;
+        let now = *now;
+        profiled(profiler, region::EXCHANGE, || {
+            for sh in held.iter_mut() {
+                let Shard {
+                    stages,
+                    events,
+                    events_cursor,
+                    ..
+                } = &mut **sh;
+                for st in stages.iter_mut() {
+                    while let Some(&(at, pkt)) = st.staged.get(st.replayed) {
+                        if at != now {
+                            break;
+                        }
+                        let accepted = forward.try_inject(st.port, pkt);
+                        debug_assert!(accepted, "staged injection exceeded capacity");
+                        st.replayed += 1;
+                    }
+                }
+                while let Some(&(at, tag)) = events.events().get(*events_cursor) {
+                    if at != now {
+                        break;
+                    }
+                    tracer.post(at, tag);
+                    *events_cursor += 1;
+                }
+            }
+        });
+    }
+
+    /// After the workers ran their clusters through `chunk_end`: let the
+    /// shared components observe the exact per-cycle call sequence for
+    /// each chunk cycle, with that cycle's staged traffic applied after
+    /// it, stopping where a per-cycle run would stop ticking.
+    fn replay_chunk(&mut self, held: &mut [Held<'_>], chunk_end: Cycle) {
+        let delivered_before = self.reverse.stats().packets_delivered;
+        while self.now < chunk_end {
+            self.now += 1;
+            self.shared_phases(held);
+            debug_assert_eq!(
+                self.reverse.stats().packets_delivered,
+                delivered_before,
+                "lookahead violated: a delivery landed at cycle {} inside the chunk ending at {}",
+                self.now.0,
+                chunk_end.0,
+            );
+            self.exchange(held);
+            let u = self.now;
+            if held.iter().all(|sh| sh.done_since.is_some_and(|d| d <= u)) && self.shared_idle() {
+                break;
+            }
+        }
+        // The workers overshot the completion cycle; every overshot tick
+        // of a done engine is a pure `idle += 1`, so retract the overshoot
+        // and the stats match a per-cycle run exactly.
+        let over = chunk_end.saturating_since(self.now);
+        if over > 0 {
+            for sh in held.iter_mut() {
+                for e in sh.engines.iter_mut().flatten() {
+                    e.uncount_idle(over);
+                }
+            }
+        }
+    }
+
+    /// Cycles the next round may run the clusters ahead of the shared
+    /// components: the delivery-free horizon — the minimum over every
+    /// source that could put a reply into the reverse network (module-doc
+    /// derivation) — clamped by every event that must land on its exact
+    /// cycle. At most 1 means a per-cycle round.
+    fn chunk_len(&self, watchdog: &Watchdog, start: Cycle, limit: u64) -> u64 {
+        let t0 = self.now;
+        if !self.reverse.is_idle() {
+            return 0;
+        }
+        // Minimum module service time: the floor under every
+        // request-to-reply bound (sync requests only add to it).
+        // Validation guarantees it is at least 1.
+        let min_service = u64::from(self.cfg.global_memory.service_cycles);
+        // A fresh CE request staged at t0+1: injector drain at t0+2,
+        // module delivery at t0+3, then service and the 1-word-reply
+        // delivery bound.
+        let mut l = min_service + 4;
+        if !self.forward.is_idle() {
+            // An in-flight request: module delivery at t0+1, service
+            // pickup at t0+2.
+            l = l.min(min_service + 2);
+        }
+        if let Some(ev) = self.gmem.next_event(t0) {
+            // A busy module: its earliest visible action is the reply
+            // injection itself, and a 1-word reply delivers the cycle
+            // after.
+            l = l.min(ev.saturating_since(t0));
+        }
+        if l <= 1 {
+            return l;
+        }
+        // 0 means no cap beyond the lookahead bound.
+        if self.cfg.chunk_cycles > 0 {
+            l = l.min(self.cfg.chunk_cycles as u64);
+        }
+        l = l.min(watchdog.next_check().saturating_since(t0));
+        l = l.min(self.timeline.next_boundary().saturating_since(t0));
+        let budget_end = start.0.saturating_add(limit).saturating_add(1);
+        l = l.min(budget_end.saturating_sub(t0.0));
+        if let Some(ev) = self.fault_sched.as_ref().and_then(|fs| fs.next_event(t0)) {
+            l = l.min(ev.saturating_since(t0).saturating_sub(1));
+        }
+        // Injector headroom: the shadow drain is one word per cycle only
+        // while the real drain can't block on a full stage-0 queue. The +1
+        // when the ring starts empty reflects that the first staged packet
+        // reaches the real ring a cycle later.
+        let queue_cap = self.forward.stage_queue_cap();
+        for port in 0..self.cfg.total_ces() {
+            if l <= 1 {
+                break;
+            }
+            let room = (queue_cap - self.forward.stage0_queue_len(port)) as u64
+                + u64::from(self.forward.injector_len(port) == 0);
+            l = l.min(room);
+        }
+        l
+    }
+
+    fn shared_idle(&self) -> bool {
+        self.forward.is_idle() && self.reverse.is_idle() && self.gmem.is_idle()
+    }
+
+    /// Direct engine doneness, not the tick-maintained `done_since`
+    /// marker: an engine can finish during a fast-forward skip, between
+    /// shard ticks, which the marker cannot observe.
+    fn all_done(&self, held: &[Held<'_>]) -> bool {
+        held.iter()
+            .all(|sh| sh.engines.iter().flatten().all(CeEngine::is_done))
+            && self.shared_idle()
+    }
+
+    /// One forward-progress inspection.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::Faulted`] when a retry controller exhausted its
+    /// budget, [`MachineError::Deadlock`] when the machine cannot finish.
+    fn check_progress(&self, held: &[Held<'_>], watchdog: &mut Watchdog) -> Result<()> {
+        let deadlock = |kind| {
+            Err(MachineError::Deadlock {
+                report: Box::new(self.hang_report(held, kind)),
+            })
+        };
+        watchdog.arm_next(self.now);
+        let mut unfinished = 0usize;
+        let mut sync_waiting = 0usize;
+        for sh in held {
+            for e in sh.engines.iter().flatten() {
+                // A CE whose retry controller gave up can never become done.
+                if let Some(reason) = e.fault_exhausted() {
+                    return Err(MachineError::Faulted { ce: e.id(), reason });
+                }
+                if !e.is_done() {
+                    unfinished += 1;
+                    if e.sync_blocked() {
+                        sync_waiting += 1;
+                    }
+                }
+            }
+        }
+        // No subsystem will ever act again, yet work remains: nothing can
+        // change, so nothing will complete.
+        if !self.all_done(held) && self.next_machine_event(held).is_none() {
+            return deadlock("event starvation");
+        }
+        // Every unfinished CE sat in a synchronization wait across several
+        // consecutive checks: a barrier/counter that can never release
+        // (legitimate waits release within one poll period, far shorter
+        // than a single check interval).
+        if unfinished > 0 && sync_waiting == unfinished {
+            watchdog.sync_stuck += 1;
+            if watchdog.sync_stuck >= STUCK_SYNC_CHECKS {
+                return deadlock("synchronization stall");
+            }
+        } else {
+            watchdog.sync_stuck = 0;
+        }
+        Ok(())
+    }
+
+    /// Capture the machine state for a [`MachineError::Deadlock`].
+    fn hang_report(&self, held: &[Held<'_>], kind: &str) -> HangReport {
+        let mut ces = Vec::new();
+        let mut barrier_waiters = 0usize;
+        let mut pending_retries = 0u64;
+        for e in engine_slots(held).flatten() {
+            pending_retries += e.fault_pending();
+            if !e.is_done() {
+                if e.sync_blocked() {
+                    barrier_waiters += 1;
+                }
+                // Cap the listing: a machine-wide hang names every CE on a
+                // 32-CE Cedar, but a pathological config should not build
+                // an unbounded report.
+                if ces.len() < 64 {
+                    ces.push((e.id().0, e.hang_state()));
+                }
+            }
+        }
+        HangReport {
+            at_cycle: self.now.0,
+            kind: kind.to_string(),
+            ces,
+            barrier_waiters,
+            fwd_in_flight: self.forward.in_flight_packets(),
+            rev_in_flight: self.reverse.in_flight_packets(),
+            module_queues: self.gmem.queue_depths(),
+            pending_retries,
+            // Filled in by `run_loop` when several shards ran.
+            chunked: None,
+        }
+    }
+
+    /// The earliest future cycle at which any subsystem can change
+    /// externally visible state, given no machine activity in between.
+    /// `None` means no subsystem will ever act again (every CE is done —
+    /// or deadlocked waiting on synchronization that cannot arrive).
+    ///
+    /// Conservative by construction: any subsystem unsure of its next
+    /// event answers `now + 1`, which suppresses skipping but can never
+    /// change results.
+    fn next_machine_event(&self, held: &[Held<'_>]) -> Option<Cycle> {
+        let now = self.now;
+        let soon = now + 1;
+        let mut best = min_event(self.forward.next_event(now), self.reverse.next_event(now));
+        if best == Some(soon) {
+            return best;
+        }
+        if let Some(fs) = &self.fault_sched {
+            best = min_event(best, fs.next_event(now));
+            if best == Some(soon) {
+                return best;
+            }
+        }
+        best = min_event(best, self.gmem.next_event(now));
+        if best == Some(soon) {
+            return best;
+        }
+        for sh in held {
+            for cl in &sh.clusters {
+                best = min_event(best, cl.ccbus.next_event(now));
+                if best == Some(soon) {
+                    return best;
+                }
+            }
+            for e in sh.engines.iter().flatten() {
+                let ccbus = &sh.clusters[e.cluster().0 - sh.first_cluster].ccbus;
+                best = min_event(best, e.next_event(now, ccbus, &self.counters));
+                if best == Some(soon) {
+                    return best;
+                }
+            }
+        }
+        best
+    }
+
+    /// Event-horizon fast-forward: if every subsystem is quiescent until
+    /// some future cycle `t`, jump straight to `t - 1`, bulk-crediting the
+    /// skipped cycles into exactly the counters a cycle-by-cycle run would
+    /// have bumped (CE idle/stall attribution, memory-module busy/queue
+    /// occupancy, prefetch page-wait) and recording utilization-timeline
+    /// buckets at their usual boundaries. Every statistic, histogram and
+    /// digest stays bit-for-bit identical to the unskipped run.
+    fn try_fast_forward(&mut self, held: &mut [Held<'_>], start: Cycle, limit: u64) {
+        // Past the cycle limit plus slack, so a run with no future events
+        // (a deadlocked barrier) trips CycleLimitExceeded promptly instead
+        // of ticking its way there.
+        let deadlock_cap = Cycle(start.0.saturating_add(limit).saturating_add(2));
+        let target = match self.next_machine_event(held) {
+            Some(t) if t > self.now + 1 => t.min(deadlock_cap),
+            Some(_) => return,
+            None => {
+                if self.all_done(held) {
+                    return;
+                }
+                deadlock_cap
+            }
+        };
+        // Skip in chunks clamped to the next timeline bucket boundary, so
+        // utilization buckets are recorded from the same cumulative state a
+        // ticked run would have seen at each boundary.
+        while self.now + 1 < target {
+            let boundary = self.timeline.next_boundary();
+            let chunk_end = boundary.min(Cycle(target.0 - 1)).max(self.now + 1);
+            let k = chunk_end - self.now;
+            self.gmem.skip(k);
+            for sh in held.iter_mut() {
+                for e in sh.engines.iter_mut().flatten() {
+                    e.skip(self.now, k);
+                }
+            }
+            self.fastfwd_skipped += k;
+            self.now = chunk_end;
+            if self.timeline.due(self.now) {
+                fill_util_samples(held, &mut self.util_scratch);
+                self.timeline.record(&self.util_scratch);
+            }
         }
     }
 }

@@ -3,61 +3,34 @@
 //! section in a fixed order — forward omega, reverse omega, global
 //! memory, per-cluster cache/bus/TLB, fault schedule, CE engines.
 //!
-//! The save side is a free function over *iterators* of clusters and
-//! engines rather than a `&Machine` method: mid-run the parallel engine
-//! holds its clusters and engines inside per-worker shards, and the
-//! coordinator checkpoints at a chunk-exchange boundary by walking the
-//! shard guards in shard order (shards partition the clusters
-//! contiguously, so that is exactly the serial engine's order — the
-//! payload bytes are identical to what the serial loop would write at
-//! the same cycle). The load side always runs on a whole, reassembled
-//! machine, so it is a `&mut Machine` method.
+//! The save side takes the clusters and engines as *iterators*: mid-run
+//! they live inside the run loop's shards, and the auto-checkpoint walks
+//! the shards in order (they partition the clusters contiguously, so the
+//! payload bytes are the same on every shard count). The load side
+//! always runs on a whole, reassembled machine.
 
 use std::path::Path;
 
 use super::{frame_payload, read_payload, write_snapshot_file, SnapReader, SnapResult, SnapWriter};
 use crate::ce::CeEngine;
 use crate::error::{MachineError, Result};
-use crate::fault::FaultSchedule;
 use crate::ids::{CeId, ClusterId};
 use crate::lower::LowerMeta;
 use crate::machine::{Cluster, Machine, Watchdog};
-use crate::memory::global::GlobalMemory;
-use crate::monitor::{EventTracer, Histogrammer};
-use crate::network::Omega;
+use crate::monitor::Histogrammer;
 use crate::program::Program;
 use crate::sched::{BarrierDef, BarrierScope, CounterDef};
-use crate::stats::{MachineStats, UtilizationTimeline};
+use crate::stats::MachineStats;
 use crate::time::Cycle;
-use crate::trace::TraceStore;
-use crate::vm::PageTable;
 
-/// The run-loop context captured alongside the machine state when a
-/// checkpoint is taken mid-run: everything `Machine::resume` needs to
-/// re-enter the loop exactly where the killed run left it.
-pub(crate) struct RunSnap<'a> {
-    /// Cycle the interrupted run started at.
-    pub start: Cycle,
-    /// The interrupted run's cycle budget (resume keeps it).
-    pub limit: u64,
-    /// Forward-progress watchdog state, so restored watchdog decisions
-    /// land on exactly the cycles the uninterrupted run inspects.
-    pub wd_next_check: Cycle,
-    pub wd_sync_stuck: u32,
-    /// The registry baseline taken at run start; the resumed run's report
-    /// deltas against this, not against the restored machine's counters.
-    pub stats_start: &'a MachineStats,
-}
-
-/// Auto-checkpoint control threaded through the run loops when
+/// Auto-checkpoint control threaded through the run loop when
 /// [`crate::config::MachineConfig::checkpoint_every`] is set.
 pub(crate) struct CkptCtl<'a> {
     pub every: u64,
     pub path: std::path::PathBuf,
-    /// Earliest cycle at which the next checkpoint is due. The loops only
-    /// test this at their natural boundaries (post-tick in the serial
-    /// engine, post-exchange in the parallel engine), so a snapshot is
-    /// never taken mid-round.
+    /// Earliest cycle at which the next checkpoint is due. The run loop
+    /// only tests this between rounds, so a snapshot is never taken
+    /// mid-round.
     pub next: Cycle,
     pub start: Cycle,
     pub limit: u64,
@@ -75,32 +48,6 @@ pub(crate) struct ResumeCtx {
     pub limit: u64,
     pub watchdog: Watchdog,
     pub stats_start: MachineStats,
-}
-
-/// Borrowed view of everything outside the clusters and engines that a
-/// machine snapshot captures. The serial engine builds it from `&Machine`
-/// ([`Machine::save_ctx`]); the parallel coordinator builds it from its
-/// destructured field borrows mid-scope.
-pub(crate) struct SaveCtx<'a> {
-    pub cfg: &'a crate::config::MachineConfig,
-    pub lowered: bool,
-    pub now: Cycle,
-    pub forward: &'a Omega,
-    pub reverse: &'a Omega,
-    pub gmem: &'a GlobalMemory,
-    pub page_table: &'a PageTable,
-    pub tracer: &'a EventTracer,
-    pub latency_histogram: &'a Histogrammer,
-    pub timeline: &'a UtilizationTimeline,
-    pub fastfwd_skipped: u64,
-    pub fault_sched: Option<&'a FaultSchedule>,
-    pub trace_store: &'a TraceStore,
-    pub counters: &'a [CounterDef],
-    pub barriers: &'a [BarrierDef],
-    pub next_sync_slot: u64,
-    pub next_bus_barrier_slot: usize,
-    pub program_meta: Option<LowerMeta>,
-    pub run: Option<RunSnap<'a>>,
 }
 
 fn put_counter(w: &mut SnapWriter, c: &CounterDef) {
@@ -162,121 +109,101 @@ fn get_barrier(r: &mut SnapReader) -> SnapResult<BarrierDef> {
     })
 }
 
-/// Serialize the complete machine (and, mid-run, the run context) into an
-/// unframed payload. `clusters` and `engines` must yield the machine's
-/// clusters and engine slots in id order — `cfg.clusters` and
-/// `cfg.total_ces()` entries respectively.
-pub(crate) fn save_payload<'a>(
-    ctx: &SaveCtx<'_>,
-    clusters: impl Iterator<Item = &'a Cluster>,
-    engines: impl Iterator<Item = &'a Option<CeEngine>>,
-) -> Vec<u8> {
-    let cfg = ctx.cfg;
-    let mut w = SnapWriter::new();
-    w.tag(b"MACH");
-    // Structural echo: enough of the configuration to reject a snapshot
-    // taken on a differently shaped machine with a named error before any
-    // per-section count check trips.
-    w.u32(cfg.clusters as u32);
-    w.u32(cfg.ces_per_cluster as u32);
-    w.u32(cfg.network_ports() as u32);
-    w.u32(cfg.global_memory.modules as u32);
-    w.bool(cfg.vm.enabled);
-    w.bool(cfg.faults.as_ref().is_some_and(|p| p.enabled()));
-    w.bool(cfg.trace.as_ref().is_some_and(|p| p.enabled()));
-    w.bool(ctx.lowered);
-    w.cycle(ctx.now);
-    w.u64(ctx.fastfwd_skipped);
-    w.u64(ctx.next_sync_slot);
-    w.usize(ctx.next_bus_barrier_slot);
-    w.seq(ctx.counters.iter(), put_counter);
-    w.seq(ctx.barriers.iter(), put_barrier);
-    w.opt(ctx.program_meta.as_ref(), |w, m| {
-        w.usize(m.source_ops);
-        w.usize(m.uops);
-        w.usize(m.fused_ops);
-        w.usize(m.max_loop_depth);
-    });
-    ctx.latency_histogram.save_state(&mut w);
-    ctx.timeline.save_state(&mut w);
-    ctx.tracer.save_state(&mut w);
-    ctx.page_table.save_state(&mut w);
-    ctx.trace_store.save_state(&mut w);
-    w.opt(ctx.run.as_ref(), |w, run| {
-        w.cycle(run.start);
-        w.u64(run.limit);
-        w.cycle(run.wd_next_check);
-        w.u32(run.wd_sync_stuck);
-        run.stats_start.save_state(w);
-    });
-    ctx.forward.save_state(&mut w);
-    ctx.reverse.save_state(&mut w);
-    ctx.gmem.save_state(&mut w);
-    let mut n_clusters = 0usize;
-    for cl in clusters {
-        cl.cache.save_state(&mut w);
-        cl.ccbus.save_state(&mut w);
-        cl.tlb.save_state(&mut w);
-        n_clusters += 1;
-    }
-    debug_assert_eq!(n_clusters, cfg.clusters, "cluster iterator mismatch");
-    w.opt(ctx.fault_sched, |w, fs| fs.save_state(w));
-    let mut n_engines = 0usize;
-    let mut ew = SnapWriter::new();
-    for e in engines {
-        ew.opt(e.as_ref(), |w, e| e.save_state(w));
-        n_engines += 1;
-    }
-    debug_assert_eq!(n_engines, cfg.total_ces(), "engine iterator mismatch");
-    w.usize(n_engines);
-    let engine_bytes = ew.into_payload();
-    let mut payload = w.into_payload();
-    payload.extend_from_slice(&engine_bytes);
-    payload
-}
-
 impl Machine {
-    /// Build the borrowed snapshot view from a whole machine (the serial
-    /// engine and the public between-runs entry points).
-    pub(crate) fn save_ctx<'a>(&'a self, run: Option<RunSnap<'a>>) -> SaveCtx<'a> {
-        SaveCtx {
-            cfg: &self.cfg,
-            lowered: self.lowered_enabled(),
-            now: self.now,
-            forward: &self.forward,
-            reverse: &self.reverse,
-            gmem: &self.gmem,
-            page_table: &self.page_table,
-            tracer: &self.tracer,
-            latency_histogram: &self.latency_histogram,
-            timeline: &self.timeline,
-            fastfwd_skipped: self.fastfwd_skipped,
-            fault_sched: self.fault_sched.as_ref(),
-            trace_store: &self.trace_store,
-            counters: &self.counters,
-            barriers: &self.barriers,
-            next_sync_slot: self.next_sync_slot,
-            next_bus_barrier_slot: self.next_bus_barrier_slot,
-            program_meta: self.program_meta,
-            run,
+    /// Serialize the complete machine (and, mid-run, the run context) into
+    /// an unframed payload. `clusters` and `engines` must yield the
+    /// machine's clusters and engine slots in id order — `cfg.clusters`
+    /// and `cfg.total_ces()` entries respectively.
+    fn save_payload<'a>(
+        &self,
+        run: Option<(&CkptCtl<'_>, &Watchdog)>,
+        clusters: impl Iterator<Item = &'a Cluster>,
+        engines: impl Iterator<Item = &'a Option<CeEngine>>,
+    ) -> Vec<u8> {
+        let cfg = &self.cfg;
+        let mut w = SnapWriter::new();
+        w.tag(b"MACH");
+        // Structural echo: enough of the configuration to reject a snapshot
+        // taken on a differently shaped machine with a named error before any
+        // per-section count check trips.
+        w.u32(cfg.clusters as u32);
+        w.u32(cfg.ces_per_cluster as u32);
+        w.u32(cfg.network_ports() as u32);
+        w.u32(cfg.global_memory.modules as u32);
+        w.bool(cfg.vm.enabled);
+        w.bool(cfg.faults.as_ref().is_some_and(|p| p.enabled()));
+        w.bool(cfg.trace.as_ref().is_some_and(|p| p.enabled()));
+        w.bool(self.lowered_enabled());
+        w.cycle(self.now);
+        w.u64(self.fastfwd_skipped);
+        w.u64(self.next_sync_slot);
+        w.usize(self.next_bus_barrier_slot);
+        w.seq(self.counters.iter(), put_counter);
+        w.seq(self.barriers.iter(), put_barrier);
+        w.opt(self.program_meta.as_ref(), |w, m| {
+            w.usize(m.source_ops);
+            w.usize(m.uops);
+            w.usize(m.fused_ops);
+            w.usize(m.max_loop_depth);
+        });
+        self.latency_histogram.save_state(&mut w);
+        self.timeline.save_state(&mut w);
+        self.tracer.save_state(&mut w);
+        self.page_table.save_state(&mut w);
+        self.trace_store.save_state(&mut w);
+        // Mid-run: everything `Machine::resume` needs to re-enter the loop
+        // exactly where the killed run left it — its start and budget,
+        // the watchdog (so restored inspections land on the cycles the
+        // uninterrupted run inspects) and the registry baseline taken at
+        // run start, which the resumed run's report deltas against.
+        w.opt(run.as_ref(), |w, (ck, watchdog)| {
+            w.cycle(ck.start);
+            w.u64(ck.limit);
+            w.cycle(watchdog.next_check());
+            w.u32(watchdog.sync_stuck);
+            ck.stats_start.save_state(w);
+        });
+        self.forward.save_state(&mut w);
+        self.reverse.save_state(&mut w);
+        self.gmem.save_state(&mut w);
+        let mut n_clusters = 0usize;
+        for cl in clusters {
+            cl.cache.save_state(&mut w);
+            cl.ccbus.save_state(&mut w);
+            cl.tlb.save_state(&mut w);
+            n_clusters += 1;
         }
+        debug_assert_eq!(n_clusters, cfg.clusters, "cluster iterator mismatch");
+        w.opt(self.fault_sched.as_ref(), |w, fs| fs.save_state(w));
+        let mut n_engines = 0usize;
+        let mut ew = SnapWriter::new();
+        for e in engines {
+            ew.opt(e.as_ref(), |w, e| e.save_state(w));
+            n_engines += 1;
+        }
+        debug_assert_eq!(n_engines, cfg.total_ces(), "engine iterator mismatch");
+        w.usize(n_engines);
+        let engine_bytes = ew.into_payload();
+        let mut payload = w.into_payload();
+        payload.extend_from_slice(&engine_bytes);
+        payload
     }
 
-    /// The framed snapshot image of this machine, mid-run.
-    pub(crate) fn run_image(&self, ck: &CkptCtl<'_>, watchdog: &Watchdog) -> Vec<u8> {
-        let run = RunSnap {
-            start: ck.start,
-            limit: ck.limit,
-            wd_next_check: watchdog.next_check(),
-            wd_sync_stuck: watchdog.sync_stuck,
-            stats_start: ck.stats_start,
-        };
-        let ctx = self.save_ctx(Some(run));
-        frame_payload(&save_payload(
-            &ctx,
-            self.clusters.iter(),
-            self.engines.iter(),
-        ))
+    /// The framed snapshot image of this machine mid-run, its clusters
+    /// and engines read out of the run loop's shards.
+    pub(crate) fn run_image<'a>(
+        &self,
+        clusters: impl Iterator<Item = &'a Cluster>,
+        engines: impl Iterator<Item = &'a Option<CeEngine>>,
+        ck: &CkptCtl<'_>,
+        watchdog: &Watchdog,
+    ) -> Vec<u8> {
+        frame_payload(&self.save_payload(Some((ck, watchdog)), clusters, engines))
+    }
+
+    /// The framed snapshot image of this machine between runs.
+    fn image(&self) -> Vec<u8> {
+        frame_payload(&self.save_payload(None, self.clusters.iter(), self.engines.iter()))
     }
 
     /// Serialize the complete machine state to `w` as a versioned,
@@ -291,13 +218,7 @@ impl Machine {
     ///
     /// [`MachineError::Snapshot`] when writing to `w` fails.
     pub fn checkpoint<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
-        let ctx = self.save_ctx(None);
-        let image = frame_payload(&save_payload(
-            &ctx,
-            self.clusters.iter(),
-            self.engines.iter(),
-        ));
-        w.write_all(&image)
+        w.write_all(&self.image())
             .map_err(|e| MachineError::Snapshot(format!("write: {e}")))
     }
 
@@ -309,13 +230,7 @@ impl Machine {
     ///
     /// [`MachineError::Snapshot`] on any I/O failure.
     pub fn checkpoint_to(&self, path: &Path) -> Result<()> {
-        let ctx = self.save_ctx(None);
-        let image = frame_payload(&save_payload(
-            &ctx,
-            self.clusters.iter(),
-            self.engines.iter(),
-        ));
-        write_snapshot_file(path, &image)
+        write_snapshot_file(path, &self.image())
     }
 
     /// Restore this machine's complete mutable state from a snapshot image

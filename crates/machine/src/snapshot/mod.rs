@@ -46,7 +46,7 @@ use crate::error::MachineError;
 mod machine;
 mod wire;
 
-pub(crate) use machine::{save_payload, CkptCtl, RunSnap, SaveCtx};
+pub(crate) use machine::CkptCtl;
 pub(crate) use wire::{get_packet, get_request, put_packet, put_request};
 
 /// Format magic: identifies a Cedar machine snapshot.

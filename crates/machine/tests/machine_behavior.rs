@@ -399,6 +399,112 @@ fn deadlocked_barrier_is_diagnosed_with_a_hang_report() {
     }
 }
 
+/// The watchdog judges the simulated machine, not the host: however many
+/// shards step the clusters, and whether rounds are chunked or per-cycle,
+/// a stuck run stops on the same cycle with the same error, the same
+/// hang report and the same memory state. Every scenario keeps all four
+/// clusters busy, and the CE that trips the verdict lives on a cluster
+/// that a worker thread (not the coordinator) owns at 2 and 4 threads.
+#[test]
+fn watchdog_verdict_is_the_same_on_every_shard_count() {
+    use cedar_machine::{FaultPlan, ModuleOutage};
+
+    // A lone arriver at a two-party global barrier, beside finite work
+    // on one CE of every cluster.
+    fn lone_arriver(m: &mut Machine) -> Vec<(CeId, Program)> {
+        let barrier = m.alloc_barrier(BarrierScope::Global, 2);
+        let mut progs = Vec::new();
+        for cluster in 0..4usize {
+            let mut b = ProgramBuilder::new();
+            b.repeat(8, |b| {
+                b.vector(vec_op(32, 2, MemOperand::None));
+            });
+            progs.push((CeId(cluster * 8), b.build()));
+        }
+        let mut b = ProgramBuilder::new();
+        b.push(Op::Barrier { barrier });
+        progs.push((CeId(25), b.build()));
+        progs
+    }
+    // Scalar loads from a module that never comes back (module 0 holds
+    // address 0), issued from cluster 3; the other clusters read a
+    // healthy module.
+    fn dead_module_reads(_: &mut Machine) -> Vec<(CeId, Program)> {
+        (0..4usize)
+            .map(|cluster| {
+                let addr = if cluster == 3 { 0 } else { 1 };
+                let mut b = ProgramBuilder::new();
+                b.repeat(4, |b| {
+                    b.push(Op::ScalarGlobalRead {
+                        addr: AddressExpr::new(addr),
+                    });
+                });
+                (CeId(cluster * 8 + 1), b.build())
+            })
+            .collect()
+    }
+    let outage = FaultPlan {
+        module_outages: vec![ModuleOutage {
+            module: 0,
+            from: 0,
+            until: u64::MAX,
+        }],
+        max_retries: 2,
+        ..FaultPlan::none(2)
+    };
+    type Build = fn(&mut Machine) -> Vec<(CeId, Program)>;
+    type Expect = fn(&MachineError) -> bool;
+    let scenarios: [(&str, Option<FaultPlan>, Build, u64, Expect); 3] = [
+        ("lone barrier arriver", None, lone_arriver, LIMIT, |e| {
+            matches!(e, MachineError::Deadlock { report }
+                if report.kind == "synchronization stall" && report.barrier_waiters == 1)
+        }),
+        (
+            "retry exhaustion",
+            Some(outage),
+            dead_module_reads,
+            LIMIT,
+            |e| matches!(e, MachineError::Faulted { ce, .. } if *ce == CeId(25)),
+        ),
+        ("too-short budget", None, lone_arriver, 1_000, |e| {
+            matches!(e, MachineError::CycleLimitExceeded { limit: 1_000 })
+        }),
+    ];
+    for (name, plan, build, limit, expect) in scenarios {
+        let run = |threads: usize, chunk: usize| {
+            let mut cfg = MachineConfig::cedar()
+                .with_threads(threads)
+                .with_chunk_cycles(chunk);
+            if let Some(plan) = &plan {
+                cfg = cfg.with_faults(plan.clone());
+            }
+            let mut m = Machine::new(cfg).unwrap();
+            let progs = build(&mut m);
+            let mut err = m.run(progs, limit).unwrap_err();
+            if let MachineError::Deadlock { report } = &mut err {
+                assert_eq!(report.at_cycle, m.now().0);
+                assert_eq!(
+                    report.chunked.take().is_some(),
+                    threads > 1,
+                    "{name}: chunked context at {threads} thread(s)"
+                );
+            }
+            (err, m.now(), m.memory_digest())
+        };
+        let base = run(1, 0);
+        assert!(expect(&base.0), "{name}: unexpected verdict {:?}", base.0);
+        for threads in [1usize, 2, 4] {
+            for chunk in [0usize, 1] {
+                assert_eq!(
+                    run(threads, chunk),
+                    base,
+                    "{name}: {threads} thread(s), chunk_cycles={chunk}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn short_budget_still_reports_cycle_limit() {
     // A budget shorter than the watchdog's first inspection still

@@ -106,8 +106,7 @@ fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -
 }
 
 /// Like [`run_rank64`] with the lookahead-chunk length and fast-forward
-/// pinned through the config builder (not the environment, so these legs
-/// stay meaningful under CI's `CEDAR_CHUNK_CYCLES` matrix).
+/// pinned through the config builder.
 fn run_rank64_chunked(
     threads: usize,
     chunk: usize,
