@@ -17,8 +17,10 @@
 //! * every resilience row must have completed with outcome `"ok"` and
 //!   slowdown under 10x,
 //! * every crash-resume point must be bit-identical — matching cycle
-//!   count, memory digest and stats tree — and the file must cover both
-//!   kill modes (in-process and SIGKILL) at 1 and 4 threads. These are
+//!   count, memory digest and stats tree — must name the snapshot it
+//!   resumed from (`snapshot_version` equal to this build's, and its
+//!   `image_bytes`), and the file must cover both kill modes
+//!   (in-process and SIGKILL) at 1 and 4 threads. These are
 //!   determinism gates, not performance gates, so they are *not* skipped
 //!   for smoke artifacts: bit-identity holds at any workload size.
 //!
@@ -32,6 +34,7 @@
 //! ```
 
 use cedar_bench::json::{parse, Value};
+use cedar_machine::snapshot::SNAPSHOT_VERSION;
 
 /// Relative tolerance for "this field must equal that quotient" checks:
 /// the emitters round rates to 0.1 and speedups to 3 decimals.
@@ -218,6 +221,32 @@ fn check_crash_resume(rep: &mut Report) {
             rep.fail(file, format!("points[{i}]: missing/mistyped field"));
             continue;
         };
+        // The snapshot the point resumed from: which format, how big. An
+        // artifact from before these fields existed, or from another
+        // format version, says nothing about the snapshots this build
+        // writes.
+        let version = p.get("snapshot_version").and_then(Value::as_u64);
+        let image_bytes = p.get("image_bytes").and_then(Value::as_u64);
+        match (version, image_bytes) {
+            (Some(v), Some(_)) => {
+                if v != u64::from(SNAPSHOT_VERSION) {
+                    rep.fail(
+                        file,
+                        format!(
+                            "point {mode}@{threads}: stale artifact — snapshot format {v}, \
+                             this build writes {SNAPSHOT_VERSION}; rerun crash_resume"
+                        ),
+                    );
+                }
+            }
+            _ => rep.fail(
+                file,
+                format!(
+                    "point {mode}@{threads}: stale artifact — no snapshot_version/image_bytes; \
+                     rerun crash_resume"
+                ),
+            ),
+        }
         covered.push((mode.to_string(), threads));
         if baseline == 0 {
             rep.fail(

@@ -47,6 +47,22 @@ struct Fingerprint {
     stats: MachineStats,
 }
 
+/// What the crashed run left on disk: the format version stamped in the
+/// file's header and the file's size.
+struct Stamp {
+    snapshot_version: u32,
+    image_bytes: u64,
+}
+
+fn stamp_of(snap: &Path) -> Stamp {
+    let image = std::fs::read(snap).expect("read the crashed run's snapshot");
+    let version = image.get(8..12).expect("snapshot shorter than its header");
+    Stamp {
+        snapshot_version: u32::from_le_bytes(version.try_into().expect("4 bytes")),
+        image_bytes: image.len() as u64,
+    }
+}
+
 fn uninterrupted(threads: usize, n: u32) -> Fingerprint {
     let mut m = Machine::new(cfg_for(threads)).expect("machine");
     let progs = build(&mut m, n);
@@ -79,6 +95,7 @@ struct Point {
     resumed_cycles: u64,
     digest_match: bool,
     stats_match: bool,
+    stamp: Stamp,
 }
 
 impl Point {
@@ -93,6 +110,7 @@ fn point(
     kill_cycle: u64,
     base: &Fingerprint,
     got: &Fingerprint,
+    stamp: Stamp,
 ) -> Point {
     Point {
         mode,
@@ -102,6 +120,7 @@ fn point(
         resumed_cycles: got.cycles,
         digest_match: base.memory == got.memory,
         stats_match: base.stats == got.stats,
+        stamp,
     }
 }
 
@@ -119,8 +138,9 @@ fn in_process(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point 
     }
     drop(m);
     assert!(snap.exists(), "no checkpoint after the in-process kill");
+    let stamp = stamp_of(snap);
     let got = resume(threads, n, snap);
-    let p = point("in-process", threads, kill_at, base, &got);
+    let p = point("in-process", threads, kill_at, base, &got, stamp);
     let _ = std::fs::remove_file(snap);
     p
 }
@@ -165,8 +185,9 @@ fn sigkill(threads: usize, n: u32, base: &Fingerprint, snap: &Path) -> Point {
     }
     let _ = child.kill(); // SIGKILL on unix: the process gets no say
     let _ = child.wait();
+    let stamp = stamp_of(snap);
     let got = resume(threads, n, snap);
-    let p = point("sigkill", threads, 0, base, &got);
+    let p = point("sigkill", threads, 0, base, &got, stamp);
     let _ = std::fs::remove_file(snap);
     p
 }
@@ -199,7 +220,9 @@ fn json(smoke: bool, points: &[Point]) -> String {
                     "      \"baseline_cycles\": {},\n",
                     "      \"resumed_cycles\": {},\n",
                     "      \"digest_match\": {},\n",
-                    "      \"stats_match\": {}\n",
+                    "      \"stats_match\": {},\n",
+                    "      \"snapshot_version\": {},\n",
+                    "      \"image_bytes\": {}\n",
                     "    }}"
                 ),
                 p.mode,
@@ -209,6 +232,8 @@ fn json(smoke: bool, points: &[Point]) -> String {
                 p.resumed_cycles,
                 p.digest_match,
                 p.stats_match,
+                p.stamp.snapshot_version,
+                p.stamp.image_bytes,
             )
         })
         .collect();

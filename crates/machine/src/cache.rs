@@ -11,6 +11,7 @@
 //! but not data values: the simulator is a timing model, and numeric
 //! correctness is exercised by the pure-Rust kernels in `cedar-kernels`.
 
+use crate::bits::set_bits;
 use crate::config::CacheConfig;
 use crate::memory::cluster_mem::ClusterMemory;
 use crate::time::Cycle;
@@ -64,6 +65,10 @@ struct Line {
     fill_at: Cycle,
 }
 
+/// Snapshot bytes of one valid [`Line`]: tag, LRU stamp, fill cycle,
+/// dirty byte.
+const LINE_RECORD: usize = 25;
+
 /// The shared cluster cache, backed by its cluster memory.
 #[derive(Debug)]
 pub struct ClusterCache {
@@ -81,6 +86,11 @@ pub struct ClusterCache {
     max_misses_per_ce: u32,
     /// Way array, flattened row-major: `tags[set * assoc + way]`.
     tags: Vec<Option<Line>>,
+    /// Which ways hold a line, as a chunked bit mask over `tags`. Lines
+    /// are replaced but never invalidated, so a bit, once set by the
+    /// way's first fill, stays set. The snapshot walks this instead of
+    /// the way array, of which a few percent is ever valid.
+    valid: Vec<u64>,
     lru_clock: u64,
     /// Outstanding fills per CE (lockup-free miss slots).
     ce_misses: Vec<Vec<(u64, Cycle)>>,
@@ -124,6 +134,7 @@ impl ClusterCache {
             hit_latency: u64::from(cfg.hit_latency),
             max_misses_per_ce: cfg.max_outstanding_misses_per_ce,
             tags: vec![None; sets * cfg.associativity],
+            valid: vec![0; (sets * cfg.associativity).div_ceil(64)],
             lru_clock: 0,
             ce_misses: vec![Vec::new(); ces],
             bank_cycle: Cycle::ZERO,
@@ -221,6 +232,7 @@ impl ClusterCache {
             lru: self.lru_clock,
             fill_at: arrive,
         });
+        self.valid[(base + way) / 64] |= 1 << ((base + way) % 64);
         self.ce_misses[ce].push((line_addr, arrive));
         CacheAccess::Pending {
             at: arrive + self.hit_latency,
@@ -255,26 +267,36 @@ impl ClusterCache {
 
     /// Serialize the tag array, miss slots, bank occupancy, backing
     /// memory and statistics. Geometry (sets, associativity, banks) is
-    /// config-derived and checked structurally on restore.
+    /// config-derived and checked structurally on restore. The way array
+    /// is mostly invalid ways, so it goes out sparse: the validity mask,
+    /// then the valid lines packed in way order.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
+        use crate::snapshot::RecordWriter;
+        debug_assert!(
+            self.tags
+                .iter()
+                .enumerate()
+                .all(|(i, way)| way.is_some() == (self.valid[i / 64] >> (i % 64) & 1 != 0)),
+            "validity mask out of step with the way array"
+        );
         w.tag(b"CACH");
-        w.seq(self.tags.iter(), |w, way| {
-            w.opt(way.as_ref(), |w, line| {
-                w.u64(line.tag);
-                w.bool(line.dirty);
-                w.u64(line.lru);
-                w.cycle(line.fill_at);
-            });
+        w.sparse(self.tags.len(), &self.valid, |i| {
+            let line = self.tags[i].as_ref().expect("valid way holds a line");
+            RecordWriter::<LINE_RECORD>::new()
+                .u64(line.tag)
+                .u64(line.lru)
+                .u64(line.fill_at.0)
+                .u8(u8::from(line.dirty))
+                .done()
         });
         w.u64(self.lru_clock);
         w.seq(self.ce_misses.iter(), |w, slots| {
-            w.seq(slots.iter(), |w, (line, at)| {
-                w.u64(*line);
-                w.cycle(*at);
+            w.records(slots.iter(), |&(line, at)| {
+                RecordWriter::<16>::new().u64(line).u64(at.0).done()
             });
         });
         w.cycle(self.bank_cycle);
-        w.seq(self.bank_used.iter(), |w, used| w.u32(*used));
+        w.u32s(&self.bank_used);
         self.mem.save_state(w);
         let s = &self.stats;
         for v in [
@@ -294,30 +316,34 @@ impl ClusterCache {
         r: &mut crate::snapshot::SnapReader,
     ) -> crate::snapshot::SnapResult<()> {
         r.tag(b"CACH")?;
-        let ways = self.tags.len();
-        r.seq_exact(ways, |r, i| {
-            self.tags[i] = r.opt(|r| {
-                Ok(Line {
-                    tag: r.u64()?,
-                    dirty: r.bool()?,
-                    lru: r.u64()?,
-                    fill_at: r.cycle()?,
-                })
-            })?;
-            Ok(())
+        let (valid, lines) = r.sparse::<_, LINE_RECORD>(self.tags.len(), |mut f| {
+            Ok(Line {
+                tag: f.u64(),
+                lru: f.u64(),
+                fill_at: Cycle(f.u64()),
+                dirty: match f.u8() {
+                    0 => false,
+                    1 => true,
+                    _ => return Err("invalid dirty byte in a cache line"),
+                },
+            })
         })?;
+        // Only the ways valid before or after need touching.
+        for i in set_bits(&self.valid) {
+            self.tags[i] = None;
+        }
+        self.valid = valid;
+        for (i, line) in set_bits(&self.valid).zip(lines) {
+            self.tags[i] = Some(line);
+        }
         self.lru_clock = r.u64()?;
         let ces = self.ce_misses.len();
         r.seq_exact(ces, |r, i| {
-            self.ce_misses[i] = r.seq(|r| Ok((r.u64()?, r.cycle()?)))?;
+            self.ce_misses[i] = r.records::<_, 16>(|mut f| Ok((f.u64(), Cycle(f.u64()))))?;
             Ok(())
         })?;
         self.bank_cycle = r.cycle()?;
-        let banks = self.bank_used.len();
-        r.seq_exact(banks, |r, i| {
-            self.bank_used[i] = r.u32()?;
-            Ok(())
-        })?;
+        r.u32s_into(&mut self.bank_used)?;
         self.mem.load_state(r)?;
         self.stats = CacheStats {
             hits: r.u64()?,

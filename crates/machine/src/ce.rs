@@ -2563,7 +2563,7 @@ impl CeEngine {
             w.bool(f.fire_pending);
         });
         w.cycle(self.quiet_until);
-        w.seq(self.indices.iter(), |w, v| w.u64(*v));
+        w.u64s(&self.indices);
         put_ce_state(w, &self.state);
         self.pfu.save_state(w);
         w.opt(self.pending_pkt.as_ref(), put_packet);
@@ -2575,8 +2575,8 @@ impl CeEngine {
             w.i32(o.old);
             w.bool(o.passed);
         });
-        w.seq(self.counter_epochs.iter(), |w, v| w.u64(*v));
-        w.seq(self.barrier_uses.iter(), |w, v| w.u64(*v));
+        w.u64s(&self.counter_epochs);
+        w.u64s(&self.barrier_uses);
         w.bool(self.sdoall_must_fetch);
         w.bool(self.sdoall_awaiting_reply);
         w.cycle(self.vm_stall_until);
@@ -2671,7 +2671,7 @@ impl CeEngine {
             }
         }
         self.quiet_until = r.cycle()?;
-        self.indices = r.seq(|r| r.u64())?;
+        self.indices = r.u64s()?;
         self.state = get_ce_state(r)?;
         self.pfu.load_state(r)?;
         self.pending_pkt = r.opt(get_packet)?;
@@ -2685,8 +2685,8 @@ impl CeEngine {
                 passed: r.bool()?,
             })
         })?;
-        self.counter_epochs = r.seq(|r| r.u64())?;
-        self.barrier_uses = r.seq(|r| r.u64())?;
+        self.counter_epochs = r.u64s()?;
+        self.barrier_uses = r.u64s()?;
         self.sdoall_must_fetch = r.bool()?;
         self.sdoall_awaiting_reply = r.bool()?;
         self.vm_stall_until = r.cycle()?;

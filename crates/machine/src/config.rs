@@ -358,8 +358,11 @@ pub struct MachineConfig {
     pub checkpoint_every: u64,
     /// Where the auto-checkpoint writes its snapshot. Each checkpoint
     /// atomically replaces the previous one (temp-file-and-rename), so
-    /// the file always holds the latest complete snapshot — a crash
-    /// mid-write can never leave a torn file behind.
+    /// the file always holds a complete snapshot — a crash mid-write can
+    /// never leave a torn file behind, it loses at most the checkpoint
+    /// being written. The write runs on a thread of its own while the
+    /// simulation continues; when the run returns, the file is the last
+    /// checkpoint that came due, and a failed write has failed the run.
     pub checkpoint_path: Option<std::path::PathBuf>,
 }
 

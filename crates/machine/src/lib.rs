@@ -36,6 +36,7 @@
 //! # }
 //! ```
 
+mod bits;
 pub mod cache;
 pub mod ccbus;
 pub mod ce;

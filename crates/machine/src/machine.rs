@@ -896,18 +896,7 @@ impl Machine {
         stats_start: MachineStats,
         mut watchdog: Watchdog,
     ) -> Result<RunReport> {
-        let mut ckpt = match (self.cfg.checkpoint_every, &self.cfg.checkpoint_path) {
-            (every, Some(path)) if every > 0 => Some(crate::snapshot::CkptCtl {
-                every,
-                path: path.clone(),
-                next: self.now + every,
-                start,
-                limit,
-                stats_start: &stats_start,
-            }),
-            _ => None,
-        };
-        self.run_loop(start, limit, &mut watchdog, &mut ckpt)?;
+        self.run_loop(start, limit, &mut watchdog, &stats_start)?;
         Ok(self.report(start, &stats_start))
     }
 

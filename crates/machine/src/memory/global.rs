@@ -5,6 +5,7 @@
 //! 24 MB/s-per-processor peak. The array implements the forward network's
 //! [`NetSink`] so delivered request packets land directly in module queues.
 
+use crate::bits::set_bits;
 use crate::config::GlobalMemoryConfig;
 use crate::ids::ModuleId;
 use crate::memory::address::module_of;
@@ -99,9 +100,26 @@ impl GlobalMemory {
         self.accept_epoch
     }
 
+    /// The possibly-non-idle modules, in ascending order. A module outside
+    /// the active mask is idle — no event, nothing to credit — so the
+    /// per-round queries below visit these only.
+    fn active_modules(&self) -> impl Iterator<Item = &Module> {
+        set_bits(&self.active).map(|i| &self.modules[i])
+    }
+
+    /// The mask's one invariant, checked against the dense scan: every
+    /// non-idle module has its bit set.
+    fn mask_covers_busy_modules(&self) -> bool {
+        self.modules
+            .iter()
+            .enumerate()
+            .all(|(i, m)| m.is_idle() || self.active[i / 64] >> (i % 64) & 1 != 0)
+    }
+
     /// True when every module is idle.
     pub fn is_idle(&self) -> bool {
-        self.modules.iter().all(Module::is_idle)
+        debug_assert!(self.mask_covers_busy_modules());
+        self.active_modules().all(Module::is_idle)
     }
 
     /// The earliest future cycle at which any module can change externally
@@ -109,9 +127,10 @@ impl GlobalMemory {
     /// soon as a module reports the very next cycle — no later module can
     /// report anything earlier.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        debug_assert!(self.mask_covers_busy_modules());
         let soon = now + 1;
         let mut best: Option<Cycle> = None;
-        for m in &self.modules {
+        for m in self.active_modules() {
             match m.next_event(now) {
                 Some(t) if t <= soon => return Some(soon),
                 Some(t) => best = Some(best.map_or(t, |b: Cycle| b.min(t))),
@@ -121,11 +140,12 @@ impl GlobalMemory {
         best
     }
 
-    /// Credit `cycles` skipped quiescent cycles into every module's
-    /// counters (see [`Module::skip`]).
+    /// Credit `cycles` skipped quiescent cycles into every busy module's
+    /// counters (see [`Module::skip`]; an idle module has none to credit).
     pub(crate) fn skip(&mut self, cycles: u64) {
-        for m in &mut self.modules {
-            m.skip(cycles);
+        debug_assert!(self.mask_covers_busy_modules());
+        for i in set_bits(&self.active) {
+            self.modules[i].skip(cycles);
         }
     }
 
@@ -176,35 +196,34 @@ impl GlobalMemory {
         }
     }
 
-    /// Serialize the array: the active mask, acceptance epoch, and every
-    /// module in bank order. The stored module count is checked against
-    /// the configuration on restore.
+    /// Serialize the array: the acceptance epoch and every module in bank
+    /// order. The stored module count is checked against the
+    /// configuration on restore. The active mask is an index over the
+    /// modules, not state of its own, and is not written.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         w.tag(b"GMEM");
-        w.seq(self.active.iter(), |w, bits| w.u64(*bits));
         w.u64(self.accept_epoch);
         w.u64(self.dropped_replies);
         w.seq(self.modules.iter(), |w, m| m.save_state(w));
     }
 
+    /// Restore the modules and rebuild the active mask from them rather
+    /// than trusting the image for it: a bit per module left non-idle.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader,
     ) -> crate::snapshot::SnapResult<()> {
         r.tag(b"GMEM")?;
-        let active = r.seq(|r| r.u64())?;
-        if active.len() != self.active.len() {
-            return Err(r.err_mismatch(&format!(
-                "active mask holds {} words, machine needs {}",
-                active.len(),
-                self.active.len()
-            )));
-        }
-        self.active = active;
         self.accept_epoch = r.u64()?;
         self.dropped_replies = r.u64()?;
         let n = self.modules.len();
         r.seq_exact(n, |r, i| self.modules[i].load_state(r))?;
+        self.active.fill(0);
+        for (i, m) in self.modules.iter().enumerate() {
+            if !m.is_idle() {
+                self.active[i / 64] |= 1 << (i % 64);
+            }
+        }
         Ok(())
     }
 

@@ -7,7 +7,7 @@
 //! simulator provides the same two devices; the prefetch-latency numbers
 //! of Table 2 come from probes built on them.
 
-use crate::snapshot::{SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{RecordWriter, SnapReader, SnapResult, SnapWriter};
 use crate::time::Cycle;
 
 /// Default tracer capacity: 1 M events, as on the real hardware.
@@ -97,9 +97,8 @@ impl EventTracer {
     }
 
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.events.iter(), |w, (at, tag)| {
-            w.cycle(*at);
-            w.u32(*tag);
+        w.records(self.events.iter(), |&(at, tag)| {
+            RecordWriter::<12>::new().u64(at.0).u32(tag).done()
         });
         w.u64(self.dropped);
     }
@@ -107,7 +106,7 @@ impl EventTracer {
     /// Restore events and the drop count; capacity stays whatever this
     /// tracer was constructed with (it is configuration, not state).
     pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.events = r.seq(|r| Ok((r.cycle()?, r.u32()?)))?;
+        self.events = r.records::<_, 12>(|mut f| Ok((Cycle(f.u64()), f.u32())))?;
         self.dropped = r.u64()?;
         Ok(())
     }
@@ -246,22 +245,15 @@ impl Histogrammer {
         self.bins.iter_mut().for_each(|b| *b = 0);
     }
 
-    /// Sparse snapshot encoding: bin count, then `(index, count)` pairs
+    /// Sparse snapshot encoding: bin count, then `(index, count)` records
     /// for the non-zero bins. Most of the machine's histograms are 64 K
     /// bins with a handful occupied; dense encoding would dominate the
     /// snapshot.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.bins.len());
-        let nonzero: Vec<(usize, u32)> = self
-            .bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b != 0)
-            .map(|(i, &b)| (i, b))
-            .collect();
-        w.seq(nonzero.iter(), |w, (i, b)| {
-            w.u32(*i as u32);
-            w.u32(*b);
+        let occupied = self.bins.iter().enumerate().filter(|(_, &b)| b != 0);
+        w.records(occupied, |(i, &b)| {
+            RecordWriter::<8>::new().u32(i as u32).u32(b).done()
         });
     }
 
@@ -272,8 +264,7 @@ impl Histogrammer {
             return Err(r.err_invalid("histogram bin count", 0));
         }
         let mut h = Histogrammer::with_bins(len);
-        let pairs = r.seq(|r| Ok((r.u32()?, r.u32()?)))?;
-        for (i, b) in pairs {
+        for (i, b) in r.records::<_, 8>(|mut f| Ok((f.u32(), f.u32())))? {
             *h.bins
                 .get_mut(i as usize)
                 .ok_or_else(|| r.err_invalid("histogram bin index", 0))? = b;

@@ -1316,7 +1316,11 @@ impl Omega {
     }
 }
 
-use crate::snapshot::{get_packet, put_packet, SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{get_packet, put_packet, RecordWriter, SnapReader, SnapResult, SnapWriter};
+
+/// Snapshot bytes of one queued [`Flit`]: packet id, head/tail flags,
+/// route.
+const FLIT_RECORD: usize = 6;
 
 impl Omega {
     /// Serialize the network's complete mutable state. Config-derived
@@ -1339,27 +1343,29 @@ impl Omega {
             }
         });
         w.u32(self.free_head);
-        // Stage queues front-to-back; the physical ring head is not state.
-        w.seq(0..self.stages * self.size, |w, idx| {
-            let len = usize::from(self.qlen[idx]);
-            w.u8(self.qlen[idx]);
-            for j in 0..len {
+        // Stage queues: every queue's length, then the queued words of all
+        // of them front-to-back in queue order. The physical ring heads
+        // are not state.
+        w.bytes(&self.qlen);
+        let queued = (0..self.stages * self.size).flat_map(|idx| {
+            (0..usize::from(self.qlen[idx])).map(move |j| {
                 let mut slot = usize::from(self.qhead[idx]) + j;
                 if slot >= self.queue_cap {
                     slot -= self.queue_cap;
                 }
-                let f = self.qbuf[idx * self.queue_cap + slot];
-                w.u32(f.pkt);
-                w.bool(f.is_head);
-                w.bool(f.is_tail);
-                w.u8(f.route);
-            }
+                self.qbuf[idx * self.queue_cap + slot]
+            })
         });
-        w.seq(0..self.stages * self.size, |w, idx| {
-            w.u32(self.locks[idx]);
-            w.u8(self.locked_to[idx]);
-            w.u8(self.rr[idx]);
+        w.records(queued, |f| {
+            RecordWriter::<FLIT_RECORD>::new()
+                .u32(f.pkt)
+                .u8(u8::from(f.is_head) | u8::from(f.is_tail) << 1)
+                .u8(f.route)
+                .done()
         });
+        w.u32s(&self.locks);
+        w.bytes(&self.locked_to);
+        w.bytes(&self.rr);
         w.seq(self.injectors.iter(), |w, inj| {
             w.u8(inj.len);
             w.u8(inj.words_sent);
@@ -1378,12 +1384,12 @@ impl Omega {
         w.u64(self.stats.link_blocked);
         w.u64(self.stats.drops);
         w.u64(self.stats.nacks);
-        w.seq(self.stage_conflicts.iter(), |w, v| w.u64(*v));
-        w.seq(self.stage_blocked.iter(), |w, v| w.u64(*v));
+        w.u64s(&self.stage_conflicts);
+        w.u64s(&self.stage_blocked);
         self.queue_depth.save_state(w);
         w.u64(self.stall_replays);
         w.opt(self.faults.as_deref(), |w, f| {
-            w.seq(f.inj_seq.iter(), |w, v| w.u64(*v));
+            w.u64s(&f.inj_seq);
             w.seq(f.down.iter(), |w, v| w.bool(*v));
             w.seq(f.doom.iter(), |w, v| w.bool(*v));
         });
@@ -1419,37 +1425,40 @@ impl Omega {
             .iter()
             .filter(|s| matches!(s, Slot::Live(_)))
             .count();
-        let queues = self.stages * self.size;
-        r.seq_exact(queues, |r, idx| {
-            let len = usize::from(r.u8()?);
-            if len > self.queue_cap {
-                return Err(r.err_mismatch("stage queue deeper than its capacity"));
+        r.bytes_into(&mut self.qlen)?;
+        if self.qlen.iter().any(|&n| usize::from(n) > self.queue_cap) {
+            return Err(r.err_mismatch("stage queue deeper than its capacity"));
+        }
+        let queued = r.records::<_, FLIT_RECORD>(|mut f| {
+            let (pkt, flags, route) = (f.u32(), f.u8(), f.u8());
+            if pkt >= slots {
+                return Err("queued flit references no slab slot");
             }
+            if flags > 3 {
+                return Err("invalid flit head/tail flags");
+            }
+            Ok(Flit {
+                pkt,
+                is_head: flags & 1 != 0,
+                is_tail: flags & 2 != 0,
+                route,
+            })
+        })?;
+        if queued.len() != self.qlen.iter().map(|&n| usize::from(n)).sum::<usize>() {
+            return Err(r.err_mismatch("queued flit count disagrees with the queue lengths"));
+        }
+        let mut queued = queued.into_iter();
+        for idx in 0..self.stages * self.size {
             self.qhead[idx] = 0;
-            self.qlen[idx] = len as u8;
-            for j in 0..len {
-                let pkt = r.u32()?;
-                if pkt >= slots {
-                    return Err(r.err_mismatch("queued flit references no slab slot"));
-                }
-                let is_head = r.bool()?;
-                let is_tail = r.bool()?;
-                let route = r.u8()?;
-                self.qbuf[idx * self.queue_cap + j] = Flit {
-                    pkt,
-                    is_head,
-                    is_tail,
-                    route,
-                };
+            let at = idx * self.queue_cap;
+            let len = usize::from(self.qlen[idx]);
+            for (slot, f) in self.qbuf[at..at + len].iter_mut().zip(&mut queued) {
+                *slot = f;
             }
-            Ok(())
-        })?;
-        r.seq_exact(queues, |r, idx| {
-            self.locks[idx] = r.u32()?;
-            self.locked_to[idx] = r.u8()?;
-            self.rr[idx] = r.u8()?;
-            Ok(())
-        })?;
+        }
+        r.u32s_into(&mut self.locks)?;
+        r.bytes_into(&mut self.locked_to)?;
+        r.bytes_into(&mut self.rr)?;
         r.seq_exact(self.size, |r, port| {
             let len = r.u8()?;
             if usize::from(len) > INJ_CAP {
@@ -1479,24 +1488,14 @@ impl Omega {
         self.stats.link_blocked = r.u64()?;
         self.stats.drops = r.u64()?;
         self.stats.nacks = r.u64()?;
-        r.seq_exact(self.stages, |r, s| {
-            self.stage_conflicts[s] = r.u64()?;
-            Ok(())
-        })?;
-        r.seq_exact(self.stages, |r, s| {
-            self.stage_blocked[s] = r.u64()?;
-            Ok(())
-        })?;
+        r.u64s_into(&mut self.stage_conflicts)?;
+        r.u64s_into(&mut self.stage_blocked)?;
         self.queue_depth = Histogrammer::decode(r)?;
         self.stall_replays = r.u64()?;
         let had_faults = r.bool()?;
         match (had_faults, self.faults.as_deref_mut()) {
             (true, Some(f)) => {
-                let inj_seq = r.seq(|r| r.u64())?;
-                if inj_seq.len() != f.inj_seq.len() {
-                    return Err(r.err_mismatch("fault-injection port count"));
-                }
-                f.inj_seq = inj_seq;
+                r.u64s_into(&mut f.inj_seq)?;
                 let down = r.seq(|r| r.bool())?;
                 if down.len() != f.down.len() {
                     return Err(r.err_mismatch("fault-outage port count"));

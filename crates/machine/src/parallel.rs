@@ -115,7 +115,8 @@ use crate::network::omega::INJ_CAP;
 use crate::network::packet::{Packet, Payload, Stream};
 use crate::network::{InjectPort, NetSink, Omega};
 use crate::sched::{BarrierDef, CounterDef};
-use crate::stats::UtilSample;
+use crate::snapshot::CkptCtl;
+use crate::stats::{MachineStats, UtilSample};
 use crate::time::Cycle;
 use crate::trace::{profiled, region};
 use crate::vm::PageTable;
@@ -521,7 +522,7 @@ impl Machine {
         start: Cycle,
         limit: u64,
         watchdog: &mut Watchdog,
-        ckpt: &mut Option<crate::snapshot::CkptCtl<'_>>,
+        stats_start: &MachineStats,
     ) -> Result<()> {
         let threads = self.effective_threads();
         let shards = self.split_shards(threads, start);
@@ -534,7 +535,27 @@ impl Machine {
                 }
             }
             let _release = workers.map(ReleaseWorkers);
-            self.run_rounds(&shards, workers, start, limit, watchdog, ckpt)
+            // Auto-checkpointing holds a file-writer thread for the run.
+            // The control block lives in this closure, so every way out
+            // of it — including a panic — drops the writer's handle,
+            // which is what lets the scope join that thread.
+            let mut ckpt = match (self.cfg.checkpoint_every, &self.cfg.checkpoint_path) {
+                (every, Some(path)) if every > 0 => Some(CkptCtl::begin(
+                    s,
+                    every,
+                    path.clone(),
+                    self.now,
+                    start,
+                    limit,
+                    stats_start,
+                )?),
+                _ => None,
+            };
+            let result = self.run_rounds(&shards, workers, start, limit, watchdog, &mut ckpt);
+            // However the rounds ended, the last due checkpoint reaches
+            // the disk before the run returns — and a failed write fails
+            // the run, ahead of whatever else stopped it.
+            ckpt.map_or(Ok(()), CkptCtl::finish).and(result)
         });
 
         // Reassemble the machine whether the run finished or stopped
@@ -645,7 +666,7 @@ impl Machine {
         start: Cycle,
         limit: u64,
         watchdog: &mut Watchdog,
-        ckpt: &mut Option<crate::snapshot::CkptCtl<'_>>,
+        ckpt: &mut Option<CkptCtl>,
     ) -> Result<()> {
         let fastfwd = self.cfg.fast_forward && !crate::config::fastfwd_disabled_from_env();
         let staged = workers.is_some();
@@ -757,9 +778,7 @@ impl Machine {
             // shards in order writes the same bytes on every shard count.
             if let Some(ck) = ckpt.as_mut() {
                 if self.now >= ck.next {
-                    let image = self.run_image(clusters(&held), engine_slots(&held), ck, watchdog);
-                    crate::snapshot::write_snapshot_file(&ck.path, &image)?;
-                    ck.next = self.now + ck.every;
+                    self.autosave(ck, clusters(&held), engine_slots(&held), watchdog)?;
                 }
             }
         }

@@ -496,8 +496,7 @@ impl Pfu {
     }
 
     /// Serialize the armed shape, fire bookkeeping, issue state,
-    /// full/empty bits (as set indices — the buffer is mostly empty or
-    /// mostly full, and 512 bools beat 512 bytes either way), and stats.
+    /// full/empty bits (packed eight to a byte), and stats.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         w.opt(self.armed.as_ref(), |w, a| {
             w.u32(a.length);
@@ -514,10 +513,7 @@ impl Pfu {
         w.u8(state);
         w.u32(next);
         w.cycle(resume);
-        let full: Vec<u32> = (0..self.full.len() as u32)
-            .filter(|&i| self.full[i as usize])
-            .collect();
-        w.seq(full.iter(), |w, i| w.u32(*i));
+        w.bools(&self.full);
         w.u32(self.consume_idx);
         w.opt(self.crossing_paid.as_ref(), |w, e| w.u32(*e));
         w.u32(self.expected);
@@ -567,18 +563,7 @@ impl Pfu {
             3 => IssueState::Retry { next },
             b => return Err(r.err_invalid("pfu issue state", b)),
         };
-        self.full.iter_mut().for_each(|b| *b = false);
-        for i in r.seq(|r| r.u32())? {
-            match self.full.get_mut(i as usize) {
-                Some(slot) => *slot = true,
-                None => {
-                    return Err(r.err_mismatch(&format!(
-                        "prefetch full bit {i} outside the {}-word buffer",
-                        self.full.len()
-                    )))
-                }
-            }
-        }
+        r.bools_into(&mut self.full)?;
         self.consume_idx = r.u32()?;
         self.crossing_paid = r.opt(|r| r.u32())?;
         self.expected = r.u32()?;

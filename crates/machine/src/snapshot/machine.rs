@@ -9,9 +9,10 @@
 //! payload bytes are the same on every shard count). The load side
 //! always runs on a whole, reassembled machine.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::thread::Scope;
 
-use super::{frame_payload, read_payload, write_snapshot_file, SnapReader, SnapResult, SnapWriter};
+use super::{read_payload, write_snapshot_file, ImageWriter, SnapReader, SnapResult, SnapWriter};
 use crate::ce::CeEngine;
 use crate::error::{MachineError, Result};
 use crate::ids::{CeId, ClusterId};
@@ -23,18 +24,61 @@ use crate::sched::{BarrierDef, BarrierScope, CounterDef};
 use crate::stats::MachineStats;
 use crate::time::Cycle;
 
-/// Auto-checkpoint control threaded through the run loop when
-/// [`crate::config::MachineConfig::checkpoint_every`] is set.
-pub(crate) struct CkptCtl<'a> {
-    pub every: u64,
-    pub path: std::path::PathBuf,
+/// Auto-checkpoint state of one run with
+/// [`crate::config::MachineConfig::checkpoint_every`] set: when the next
+/// checkpoint is due, what every image of the run repeats, and the two
+/// image buffers that ping-pong between the run loop and the writer
+/// thread.
+pub(crate) struct CkptCtl {
+    every: u64,
     /// Earliest cycle at which the next checkpoint is due. The run loop
     /// only tests this between rounds, so a snapshot is never taken
     /// mid-round.
     pub next: Cycle,
-    pub start: Cycle,
-    pub limit: u64,
-    pub stats_start: &'a MachineStats,
+    start: Cycle,
+    limit: u64,
+    /// The registry baseline taken at run start, which the resumed run's
+    /// report deltas against. Constant for the run, so encoded once here
+    /// and spliced into every image as bytes.
+    stats_start: Vec<u8>,
+    /// The image buffer the writer thread is not holding.
+    spare: Vec<u8>,
+    writer: ImageWriter,
+}
+
+impl CkptCtl {
+    /// Begin auto-checkpointing a run at cycle `now`: spawn the file
+    /// writer in `scope` and encode the run's constants.
+    pub fn begin<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        every: u64,
+        path: PathBuf,
+        now: Cycle,
+        start: Cycle,
+        limit: u64,
+        stats_start: &MachineStats,
+    ) -> Result<CkptCtl> {
+        let mut w = SnapWriter::fragment();
+        stats_start.save_state(&mut w);
+        Ok(CkptCtl {
+            every,
+            next: now + every,
+            start,
+            limit,
+            stats_start: w.into_fragment(),
+            spare: Vec::new(),
+            writer: ImageWriter::spawn(scope, path)?,
+        })
+    }
+
+    /// Wait for the last checkpoint to reach the disk.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::Snapshot`] when that write failed.
+    pub fn finish(self) -> Result<()> {
+        self.writer.finish()
+    }
 }
 
 /// The run context decoded from a snapshot, handed back to
@@ -110,18 +154,19 @@ fn get_barrier(r: &mut SnapReader) -> SnapResult<BarrierDef> {
 }
 
 impl Machine {
-    /// Serialize the complete machine (and, mid-run, the run context) into
-    /// an unframed payload. `clusters` and `engines` must yield the
-    /// machine's clusters and engine slots in id order — `cfg.clusters`
-    /// and `cfg.total_ces()` entries respectively.
-    fn save_payload<'a>(
+    /// Serialize the complete machine (and, mid-run, the run context) as
+    /// a finished image built in `buf`. `clusters` and `engines` must
+    /// yield the machine's clusters and engine slots in id order —
+    /// `cfg.clusters` and `cfg.total_ces()` entries respectively.
+    fn write_image<'a>(
         &self,
-        run: Option<(&CkptCtl<'_>, &Watchdog)>,
+        buf: Vec<u8>,
+        run: Option<(&CkptCtl, &Watchdog)>,
         clusters: impl Iterator<Item = &'a Cluster>,
         engines: impl Iterator<Item = &'a Option<CeEngine>>,
     ) -> Vec<u8> {
         let cfg = &self.cfg;
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::image(buf);
         w.tag(b"MACH");
         // Structural echo: enough of the configuration to reject a snapshot
         // taken on a differently shaped machine with a named error before any
@@ -155,13 +200,13 @@ impl Machine {
         // exactly where the killed run left it — its start and budget,
         // the watchdog (so restored inspections land on the cycles the
         // uninterrupted run inspects) and the registry baseline taken at
-        // run start, which the resumed run's report deltas against.
+        // run start.
         w.opt(run.as_ref(), |w, (ck, watchdog)| {
             w.cycle(ck.start);
             w.u64(ck.limit);
             w.cycle(watchdog.next_check());
             w.u32(watchdog.sync_stuck);
-            ck.stats_start.save_state(w);
+            w.splice(&ck.stats_start);
         });
         self.forward.save_state(&mut w);
         self.reverse.save_state(&mut w);
@@ -175,35 +220,43 @@ impl Machine {
         }
         debug_assert_eq!(n_clusters, cfg.clusters, "cluster iterator mismatch");
         w.opt(self.fault_sched.as_ref(), |w, fs| fs.save_state(w));
+        w.usize(cfg.total_ces());
         let mut n_engines = 0usize;
-        let mut ew = SnapWriter::new();
         for e in engines {
-            ew.opt(e.as_ref(), |w, e| e.save_state(w));
+            w.opt(e.as_ref(), |w, e| e.save_state(w));
             n_engines += 1;
         }
         debug_assert_eq!(n_engines, cfg.total_ces(), "engine iterator mismatch");
-        w.usize(n_engines);
-        let engine_bytes = ew.into_payload();
-        let mut payload = w.into_payload();
-        payload.extend_from_slice(&engine_bytes);
-        payload
+        w.finish()
     }
 
-    /// The framed snapshot image of this machine mid-run, its clusters
-    /// and engines read out of the run loop's shards.
-    pub(crate) fn run_image<'a>(
+    /// Take the run's due checkpoint: serialize the machine — its
+    /// clusters and engines read out of the run loop's shards — into the
+    /// spare image buffer and swap it with the one the writer thread has
+    /// finished with.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::Snapshot`] when the *previous* checkpoint's file
+    /// write failed (this one's outcome arrives with the next hand-off,
+    /// or with [`CkptCtl::finish`]).
+    pub(crate) fn autosave<'a>(
         &self,
+        ck: &mut CkptCtl,
         clusters: impl Iterator<Item = &'a Cluster>,
         engines: impl Iterator<Item = &'a Option<CeEngine>>,
-        ck: &CkptCtl<'_>,
         watchdog: &Watchdog,
-    ) -> Vec<u8> {
-        frame_payload(&self.save_payload(Some((ck, watchdog)), clusters, engines))
+    ) -> Result<()> {
+        let buf = std::mem::take(&mut ck.spare);
+        let image = self.write_image(buf, Some((ck, watchdog)), clusters, engines);
+        ck.spare = ck.writer.submit(image)?;
+        ck.next = self.now + ck.every;
+        Ok(())
     }
 
-    /// The framed snapshot image of this machine between runs.
+    /// The snapshot image of this machine between runs.
     fn image(&self) -> Vec<u8> {
-        frame_payload(&self.save_payload(None, self.clusters.iter(), self.engines.iter()))
+        self.write_image(Vec::new(), None, self.clusters.iter(), self.engines.iter())
     }
 
     /// Serialize the complete machine state to `w` as a versioned,
@@ -275,6 +328,14 @@ impl Machine {
         image: &[u8],
         limit: u64,
     ) -> Result<crate::machine::RunReport> {
+        let ctx = self.load_run(programs, image)?;
+        self.run_prepared(ctx.start, limit, ctx.stats_start, ctx.watchdog)
+    }
+
+    /// Everything of [`Machine::resume`] before the run loop: re-load the
+    /// programs, restore the machine from `image`, and hand back the run
+    /// context the image must hold.
+    fn load_run(&mut self, programs: Vec<(CeId, Program)>, image: &[u8]) -> Result<ResumeCtx> {
         self.prepare_run(programs)?;
         let ctx = self.load_image(image)?.ok_or_else(|| {
             MachineError::Snapshot(
@@ -282,7 +343,7 @@ impl Machine {
             )
         })?;
         let _interrupted_budget = ctx.limit;
-        self.run_prepared(ctx.start, limit, ctx.stats_start, ctx.watchdog)
+        Ok(ctx)
     }
 
     /// [`Machine::resume`] from a snapshot file.
@@ -299,7 +360,10 @@ impl Machine {
     ) -> Result<crate::machine::RunReport> {
         let image = std::fs::read(path)
             .map_err(|e| MachineError::Snapshot(format!("read {}: {e}", path.display())))?;
-        let mut report = self.resume(programs, &image, limit)?;
+        let ctx = self.load_run(programs, &image)?;
+        // The image has done its job; the run should not carry it.
+        drop(image);
+        let mut report = self.run_prepared(ctx.start, limit, ctx.stats_start, ctx.watchdog)?;
         report.resumed_from = Some(path.to_path_buf());
         Ok(report)
     }

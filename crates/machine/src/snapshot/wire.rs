@@ -230,10 +230,10 @@ mod tests {
             ),
         ];
         for p in &packets {
-            let mut w = SnapWriter::new();
+            let mut w = SnapWriter::fragment();
             put_packet(&mut w, p);
-            let payload = w.into_payload();
-            let mut r = SnapReader::new(&payload);
+            let bytes = w.into_fragment();
+            let mut r = SnapReader::new(&bytes);
             assert_eq!(&get_packet(&mut r).unwrap(), p);
             assert!(r.exhausted());
         }

@@ -65,8 +65,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::monitor::Histogrammer;
-use crate::snapshot::{SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{RecordReader, RecordWriter, SnapReader, SnapResult, SnapWriter};
 use crate::time::Cycle;
+
+/// Snapshot bytes of one [`UtilSample`]: its four cycle counts.
+const SAMPLE_RECORD: usize = 32;
 
 /// A registry of named monotonic counters and histograms.
 ///
@@ -393,11 +396,13 @@ impl UtilizationTimeline {
     }
 
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        fn put_sample(w: &mut SnapWriter, s: &UtilSample) {
-            w.u64(s.busy);
-            w.u64(s.stall_mem);
-            w.u64(s.stall_sync);
-            w.u64(s.idle);
+        fn put_sample(s: &UtilSample) -> [u8; SAMPLE_RECORD] {
+            RecordWriter::new()
+                .u64(s.busy)
+                .u64(s.stall_mem)
+                .u64(s.stall_sync)
+                .u64(s.idle)
+                .done()
         }
         w.usize(self.ces);
         w.cycle(self.start);
@@ -405,18 +410,20 @@ impl UtilizationTimeline {
         w.u64(self.bucket_cycles);
         w.cycle(self.next_boundary);
         w.seq(self.buckets.iter(), |w, bucket| {
-            w.seq(bucket.iter(), put_sample);
+            w.records(bucket.iter(), put_sample);
         });
-        w.seq(self.last.iter(), put_sample);
+        w.records(self.last.iter(), put_sample);
     }
 
     pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        fn get_sample(r: &mut SnapReader) -> SnapResult<UtilSample> {
+        fn get_sample(
+            mut f: RecordReader<'_, SAMPLE_RECORD>,
+        ) -> std::result::Result<UtilSample, &'static str> {
             Ok(UtilSample {
-                busy: r.u64()?,
-                stall_mem: r.u64()?,
-                stall_sync: r.u64()?,
-                idle: r.u64()?,
+                busy: f.u64(),
+                stall_mem: f.u64(),
+                stall_sync: f.u64(),
+                idle: f.u64(),
             })
         }
         self.ces = r.usize()?;
@@ -424,8 +431,8 @@ impl UtilizationTimeline {
         self.end = r.cycle()?;
         self.bucket_cycles = r.u64()?;
         self.next_boundary = r.cycle()?;
-        self.buckets = r.seq(|r| r.seq(get_sample))?;
-        self.last = r.seq(get_sample)?;
+        self.buckets = r.seq(|r| r.records(get_sample))?;
+        self.last = r.records(get_sample)?;
         Ok(())
     }
 
