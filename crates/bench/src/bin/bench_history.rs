@@ -205,8 +205,8 @@ fn check_crash_resume(rep: &mut Report) {
     if points.is_empty() {
         rep.fail(file, "no points".into());
     }
-    // The matrix the file must cover: both kill modes at both engine
-    // shapes (serial 1-thread, chunked 4-thread).
+    // The matrix the file must cover: both kill modes on one thread and
+    // on two lanes.
     let mut covered: Vec<(String, u64)> = Vec::new();
     for (i, p) in points.iter().enumerate() {
         let mode = p.get("mode").and_then(Value::as_str);
@@ -279,7 +279,7 @@ fn check_crash_resume(rep: &mut Report) {
         }
     }
     for mode in ["in-process", "sigkill"] {
-        for threads in [1u64, 4] {
+        for threads in [1u64, 2] {
             if !covered.iter().any(|(m, t)| m == mode && *t == threads) {
                 rep.fail(
                     file,

@@ -2,7 +2,7 @@
 //! runs are bit-identical to uninterrupted ones.
 //!
 //! Two kill mechanisms on a Table 1 workload (rank-64 GM/cache, four
-//! clusters) at 1 and 4 worker threads:
+//! clusters) on one thread and on two lanes:
 //!
 //! * **in-process** — the run is cut off at an adversarial cycle via the
 //!   cycle limit, the machine is dropped mid-run, and a fresh machine
@@ -250,7 +250,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke") || cedar_bench::quick();
     let n = if smoke { 64 } else { 128 };
     let mut points = Vec::new();
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2] {
         eprintln!("crash_resume: baseline (threads = {threads}, n = {n})...");
         let base = uninterrupted(threads, n);
         let snap = std::env::temp_dir().join(format!(

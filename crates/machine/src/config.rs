@@ -285,28 +285,15 @@ pub struct MachineConfig {
     pub ces_per_cluster: usize,
     /// CE instruction cycle time in nanoseconds (Cedar: 170 ns).
     pub cycle_ns: f64,
-    /// Simulation host threads for the cluster phase of each cycle.
+    /// Simulation host threads.
     ///
     /// `1` (the default) steps the whole machine on the calling thread.
-    /// Larger values shard the cluster stepping (CEs, cluster cache and
-    /// memory, prefetch units, concurrency bus) across
-    /// `std::thread::scope` workers with a barrier exchange for
-    /// cross-cluster traffic; results are bit-for-bit identical at every
-    /// count (see `Machine::run`). Capped at the cluster count; forced to
-    /// one when [`VmConfig::enabled`] is set, because page-fault
-    /// interleaving is inherently order-dependent.
+    /// `2` or more splits each simulated cycle into two lanes on two
+    /// host threads — the forward network and global memory beside the
+    /// reverse network and the clusters (see `parallel.rs`); a cycle has
+    /// no third independent part, so values above 2 mean 2. Results are
+    /// bit-for-bit identical at every count (see `Machine::run`).
     pub num_threads: usize,
-    /// Cap on the rounds of a multi-shard run, in cycles.
-    ///
-    /// `0` (the default) derives the round length automatically from the
-    /// machine's conservative lookahead bound — the minimum number of
-    /// cycles before shared state (the omega networks and global memory)
-    /// can deliver anything back into a cluster. `1` forces per-cycle
-    /// rounds. Larger values cap the automatic bound (they never raise
-    /// it: the bound is what keeps results exact). Purely a wall-clock
-    /// knob: results are bit-for-bit identical at any setting (tested).
-    /// Only consulted when more than one shard runs (`num_threads > 1`).
-    pub chunk_cycles: usize,
     /// Whether the engines may fast-forward over quiescent stretches —
     /// cycles in which no subsystem can change externally visible state —
     /// instead of ticking through them one by one. Purely a wall-clock
@@ -374,7 +361,6 @@ impl MachineConfig {
             ces_per_cluster: 8,
             cycle_ns: CEDAR_CYCLE_NS,
             num_threads: 1,
-            chunk_cycles: 0,
             fast_forward: true,
             flow_path: true,
             lowered: true,
@@ -417,13 +403,6 @@ impl MachineConfig {
         if let Some(n) = threads_from_env() {
             self.num_threads = n;
         }
-        self
-    }
-
-    /// The same configuration with the given multi-shard round cap
-    /// (`0` = automatic lookahead bound).
-    pub fn with_chunk_cycles(mut self, chunk_cycles: usize) -> Self {
-        self.chunk_cycles = chunk_cycles;
         self
     }
 
@@ -672,13 +651,6 @@ mod tests {
         let mut cfg = MachineConfig::cedar();
         cfg.num_threads = 0;
         assert!(cfg.validate().is_err(), "zero threads cannot step anything");
-    }
-
-    #[test]
-    fn chunk_cycles_defaults_to_auto_and_builds() {
-        let cfg = MachineConfig::cedar();
-        assert_eq!(cfg.chunk_cycles, 0, "default is the automatic bound");
-        assert_eq!(cfg.with_chunk_cycles(4).chunk_cycles, 4);
     }
 
     #[test]

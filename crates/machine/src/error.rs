@@ -60,24 +60,25 @@ pub struct HangReport {
     pub module_queues: Vec<(usize, usize)>,
     /// Global-memory operations still tracked by CE retry controllers.
     pub pending_retries: u64,
-    /// Multi-shard context at detection; `None` when the machine ran as
-    /// one shard.
-    pub chunked: Option<ChunkedContext>,
+    /// Two-lane context at detection; `None` when the machine ran on one
+    /// thread.
+    pub lanes: Option<LaneContext>,
 }
 
-/// What a multi-shard (lookahead-chunked) run was doing when the
-/// watchdog fired, so a hang in the chunked exchange is diagnosable from
-/// the report alone.
+/// What a two-lane run had done when the watchdog fired, so a hang in
+/// the lane hand-offs is diagnosable from the report alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkedContext {
-    /// Cycles per chunk in the most recent exchange round (1 = the
-    /// per-cycle fallback path).
-    pub chunk_cycles: u64,
-    /// Exchange rounds completed since the run started.
-    pub exchanges: u64,
-    /// Per-worker time parked at the exchange barriers, as
-    /// `(worker, waits, nanoseconds)`.
-    pub worker_sync_waits: Vec<(usize, u64, u64)>,
+pub struct LaneContext {
+    /// Rounds the second lane took part in since the run started, two
+    /// hand-offs each (a round that starts with both networks empty runs
+    /// on the calling thread alone).
+    pub rounds: u64,
+    /// Rounds in which the next cycle's memory tick ran early, beside the
+    /// cluster phase.
+    pub early_memory_ticks: u64,
+    /// Per-lane time parked at the hand-offs, as `(lane, waits,
+    /// nanoseconds)`; the time is measured only under host profiling.
+    pub lane_waits: Vec<(usize, u64, u64)>,
 }
 
 impl fmt::Display for HangReport {
@@ -94,14 +95,14 @@ impl fmt::Display for HangReport {
             self.rev_in_flight,
             self.pending_retries,
         )?;
-        if let Some(c) = &self.chunked {
+        if let Some(c) = &self.lanes {
             writeln!(
                 f,
-                "  chunked engine: chunk={}cy, {} exchanges",
-                c.chunk_cycles, c.exchanges
+                "  two lanes: {} rounds, {} early memory ticks",
+                c.rounds, c.early_memory_ticks
             )?;
-            for (worker, waits, ns) in &c.worker_sync_waits {
-                writeln!(f, "    worker[{worker}]: {waits} waits, {ns}ns parked")?;
+            for (lane, waits, ns) in &c.lane_waits {
+                writeln!(f, "    lane[{lane}]: {waits} waits, {ns}ns parked")?;
             }
         }
         for (ce, state) in &self.ces {
@@ -188,10 +189,10 @@ mod tests {
             rev_in_flight: 0,
             module_queues: vec![(3, 2)],
             pending_retries: 1,
-            chunked: Some(ChunkedContext {
-                chunk_cycles: 6,
-                exchanges: 512,
-                worker_sync_waits: vec![(0, 512, 90_000), (1, 512, 81_000)],
+            lanes: Some(LaneContext {
+                rounds: 512,
+                early_memory_ticks: 498,
+                lane_waits: vec![(0, 1024, 90_000), (1, 1024, 81_000)],
             }),
         }
     }
@@ -205,11 +206,10 @@ mod tests {
         assert!(text.contains("ce[8]: AwaitCounter"));
         assert!(text.contains("[3]=2"));
         assert!(
-            text.contains("chunk=6cy"),
-            "chunked context missing: {text}"
+            text.contains("two lanes: 512 rounds, 498 early memory ticks"),
+            "lane context missing: {text}"
         );
-        assert!(text.contains("512 exchanges"));
-        assert!(text.contains("worker[1]: 512 waits"));
+        assert!(text.contains("lane[1]: 1024 waits, 81000ns parked"));
         let e = MachineError::Deadlock {
             report: Box::new(r),
         };

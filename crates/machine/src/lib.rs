@@ -44,6 +44,7 @@ pub mod config;
 pub mod env;
 pub mod error;
 pub mod fault;
+mod handoff;
 pub mod ids;
 pub mod lower;
 pub mod machine;
@@ -61,7 +62,7 @@ pub mod trace;
 pub mod vm;
 
 pub use config::MachineConfig;
-pub use error::{ChunkedContext, HangReport, MachineError, Result};
+pub use error::{HangReport, LaneContext, MachineError, Result};
 pub use fault::{FaultPlan, LinkOutage, ModuleOutage};
 pub use ids::{CeId, ClusterId, CounterId, ModuleId, PageId, PortId};
 pub use machine::{CounterScope, Machine, RunReport};

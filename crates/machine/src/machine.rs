@@ -15,6 +15,7 @@ use crate::ce::{CeEngine, CeStats};
 use crate::config::MachineConfig;
 use crate::error::{MachineError, Result};
 use crate::fault::{FaultCtlStats, FaultSchedule, RETRY_LATENCY_BINS, SALT_FORWARD, SALT_REVERSE};
+use crate::handoff::Baton;
 use crate::ids::{CeId, ClusterId, CounterId};
 use crate::memory::cluster_mem::ClusterMemory;
 use crate::memory::global::GlobalMemory;
@@ -76,9 +77,7 @@ impl Watchdog {
         now >= self.next_check
     }
 
-    /// The cycle of the next scheduled inspection. Chunked rounds are
-    /// clamped here so inspections land on exactly the cycles per-cycle
-    /// rounds would inspect.
+    /// The cycle of the next scheduled inspection.
     pub(crate) fn next_check(&self) -> Cycle {
         self.next_check
     }
@@ -160,9 +159,12 @@ pub struct Machine {
     /// instead of a per-CE clone).
     ce_cfg: Arc<crate::config::CeConfig>,
     pub(crate) now: Cycle,
-    pub(crate) forward: Omega,
-    pub(crate) reverse: Omega,
-    pub(crate) gmem: GlobalMemory,
+    /// The three components the second lane of a two-lane run works on
+    /// (see `parallel.rs`); whole and in place whenever no run is in
+    /// flight.
+    pub(crate) forward: Baton<Omega>,
+    pub(crate) reverse: Baton<Omega>,
+    pub(crate) gmem: Baton<GlobalMemory>,
     pub(crate) clusters: Vec<Cluster>,
     pub(crate) counters: Vec<CounterDef>,
     pub(crate) barriers: Vec<BarrierDef>,
@@ -375,9 +377,9 @@ impl Machine {
         }
         let stat_keys = StatKeys::new(&cfg, forward.stage_conflicts().len());
         Ok(Machine {
-            forward,
-            reverse,
-            gmem: GlobalMemory::new(&cfg.global_memory),
+            forward: Baton::new(forward),
+            reverse: Baton::new(reverse),
+            gmem: Baton::new(GlobalMemory::new(&cfg.global_memory)),
             clusters,
             counters: Vec::new(),
             barriers: Vec::new(),
@@ -898,19 +900,6 @@ impl Machine {
     ) -> Result<RunReport> {
         self.run_loop(start, limit, &mut watchdog, &stats_start)?;
         Ok(self.report(start, &stats_start))
-    }
-
-    /// Shards the run loop will split the machine into: the configured
-    /// thread count, capped at one per cluster, forced to one when VM
-    /// modelling is on (page-fault interleaving across clusters is
-    /// inherently order-dependent, so only a lone shard walking the real
-    /// page table can model it deterministically).
-    pub(crate) fn effective_threads(&self) -> usize {
-        if self.cfg.vm.enabled {
-            1
-        } else {
-            self.cfg.num_threads.min(self.cfg.clusters)
-        }
     }
 
     /// A deterministic digest of the machine's persistent memory state:

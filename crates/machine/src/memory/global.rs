@@ -14,8 +14,10 @@ use crate::network::packet::{Packet, Payload};
 use crate::network::{NetSink, Omega};
 use crate::time::Cycle;
 
-/// The global-memory module array.
+/// The global-memory module array. Aligned like [`Omega`]: a two-lane run
+/// ticks it on one host thread while the other works on a network.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct GlobalMemory {
     modules: Vec<Module>,
     /// Chunked bitmask of possibly-non-idle modules: a bit is set when a

@@ -78,11 +78,10 @@ impl EventTracer {
     }
 
     /// Append another tracer's events (and its dropped count) to this
-    /// one, respecting this tracer's capacity. The parallel engine merges
-    /// per-shard cycle buffers in cluster order through this; because a
-    /// shard buffer only overflows once the merged trace would have
-    /// overflowed too, the merged result matches a single serial tracer
-    /// exactly.
+    /// one, respecting this tracer's capacity. Buffers collected apart
+    /// and absorbed in posting order match a single tracer exactly:
+    /// a part only overflows once the merged trace would have overflowed
+    /// too.
     pub fn absorb(&mut self, other: &EventTracer) {
         for &(at, tag) in other.events() {
             self.post(at, tag);
@@ -299,9 +298,7 @@ mod tests {
     /// Replaying the same post stream through per-shard buffers merged
     /// with `absorb` in shard order must reproduce the serial tracer
     /// byte for byte — events AND the dropped count — including when the
-    /// merged trace overflows mid-absorb. This pins the invariant the
-    /// parallel engine's exchange phase relies on, at shard counts
-    /// matching the 1/2/4-thread configurations.
+    /// merged trace overflows mid-absorb.
     #[test]
     fn chunked_absorb_matches_serial_posting() {
         // 25 events over 5 "cycles", capacity 13: overflow lands inside
@@ -317,8 +314,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let mut merged = EventTracer::with_capacity(cap);
             // Per cycle, split that cycle's events contiguously across
-            // shards and absorb the shard buffers in order — the exchange
-            // phase's merge discipline.
+            // shards and absorb the shard buffers in order.
             for cycle in 0..5 {
                 let in_cycle: Vec<_> = stream.iter().filter(|&&(at, _)| at.0 == cycle).collect();
                 let per = in_cycle.len().div_ceil(shards);

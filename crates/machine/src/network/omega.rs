@@ -47,23 +47,6 @@ struct Flit {
     route: u8,
 }
 
-/// Where producers push packets. Implemented directly by [`Omega`] (a
-/// one-shard run injects straight into the network) and by the run
-/// loop's per-port staging buffers, which record a multi-shard run's
-/// injections during the cluster phase and replay them against the real
-/// network at the barrier, in deterministic port order.
-pub trait InjectPort {
-    /// Offer a packet for injection at `port`; `false` means the port is
-    /// backpressured this cycle and the caller must retry later.
-    fn try_inject(&mut self, port: usize, packet: Packet) -> bool;
-}
-
-impl InjectPort for Omega {
-    fn try_inject(&mut self, port: usize, packet: Packet) -> bool {
-        Omega::try_inject(self, port, packet)
-    }
-}
-
 /// Trace id and issuing CE carried in a packet's payload.
 #[inline]
 fn pkt_trace(p: &Packet) -> (u64, u16) {
@@ -170,9 +153,8 @@ enum Slot {
 }
 
 /// Upper bound on per-port injector occupancy (the configured cap is 2;
-/// the array is sized with slack so the ring stays branch-trivial). Shared
-/// with the parallel engine, whose staging ports mirror the ring.
-pub(crate) const INJ_CAP: usize = 4;
+/// the array is sized with slack so the ring stays branch-trivial).
+const INJ_CAP: usize = 4;
 
 /// Per-port packet injector: producers hand over whole packets; the
 /// injector streams them into the first stage one word per cycle. A fixed
@@ -282,8 +264,8 @@ struct StallCharge {
     epoch: u64,
     blocked: u64,
     losses: u64,
-    stage_blocked: Vec<u64>,
-    stage_conflicts: Vec<u64>,
+    stage_blocked: [u64; MAX_STAGES],
+    stage_conflicts: [u64; MAX_STAGES],
 }
 
 /// Fault-injection state for one network instance. Present only when a
@@ -298,9 +280,8 @@ struct NetFaults {
     drop_ppm: u64,
     nack_ppm: u64,
     /// Monotone per-port count of *accepted* injections — the RNG
-    /// sequence number. Both engines accept injections at a port in the
-    /// same order (the parallel engine replays staged injections in
-    /// deterministic port order), so the stream is engine-invariant.
+    /// sequence number. Only the port's own CE injects there, in program
+    /// order, so the stream is the same on every thread count.
     inj_seq: Vec<u64>,
     /// Ports currently refusing all injections (scheduled link outages).
     down: Vec<bool>,
@@ -309,7 +290,16 @@ struct NetFaults {
 }
 
 /// A unidirectional omega network instance.
+///
+/// Aligned to two cache lines (adjacent-line prefetch pulls them in
+/// pairs): a two-lane run ticks the forward and the reverse instance on
+/// different host threads at the same time, and their hot scalars and
+/// counters must not share a line. The per-stage counters are inline
+/// arrays for the same reason — as 8-to-32-byte heap vectors the two
+/// instances' copies sat next to each other in the allocator's small
+/// bins.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct Omega {
     radix: usize,
     stages: usize,
@@ -351,7 +341,7 @@ pub struct Omega {
     stats: NetStats,
     /// Words currently queued at each stage; lets the tick skip whole
     /// stages with nothing to move.
-    stage_words: Vec<u32>,
+    stage_words: [u32; MAX_STAGES],
     /// Words queued per `stage * switches + switch`; lets the per-stage
     /// sweep visit only switches that actually hold words.
     switch_words: Vec<u16>,
@@ -381,10 +371,10 @@ pub struct Omega {
     /// Chunks per stage in [`Omega::switch_busy`].
     mask_chunks: usize,
     /// Arbitration losses per switch stage.
-    stage_conflicts: Vec<u64>,
+    stage_conflicts: [u64; MAX_STAGES],
     /// Flow-control blocks per switch stage (injection blocks count
     /// against stage 0, whose queues they contend for).
-    stage_blocked: Vec<u64>,
+    stage_blocked: [u64; MAX_STAGES],
     /// Distribution of stage-queue depths observed after each word push.
     queue_depth: Histogrammer,
     /// Flow-level fast path on (the default): streams advance through the
@@ -464,7 +454,7 @@ impl Omega {
             free_head: NO_PACKET,
             in_flight: 0,
             stats: NetStats::default(),
-            stage_words: vec![0; stages],
+            stage_words: [0; MAX_STAGES],
             switch_words: vec![0; stages * (size / cfg.radix)],
             front_out: vec![NO_FRONT; stages * size],
             shuffle_tab,
@@ -473,8 +463,8 @@ impl Omega {
             sub_of,
             switch_busy: vec![0; stages * mask_chunks],
             mask_chunks,
-            stage_conflicts: vec![0; stages],
-            stage_blocked: vec![0; stages],
+            stage_conflicts: [0; MAX_STAGES],
+            stage_blocked: [0; MAX_STAGES],
             queue_depth: Histogrammer::with_bins(RING_CAP + 1),
             flow_path: true,
             stall: None,
@@ -678,9 +668,7 @@ impl Omega {
         }
     }
 
-    /// Packets `port`'s injector can still accept this cycle. Injection
-    /// acceptance depends only on this per-port occupancy, which is what
-    /// lets the parallel engine precompute it for its staging buffers.
+    /// Packets `port`'s injector can still accept this cycle.
     pub fn injector_free(&self, port: usize) -> usize {
         if let Some(f) = self.faults.as_deref() {
             if f.down[port] {
@@ -690,60 +678,6 @@ impl Omega {
         self.injector_cap.saturating_sub(self.injectors[port].len())
     }
 
-    /// Packets currently queued on `port`'s injector ring.
-    pub(crate) fn injector_len(&self, port: usize) -> usize {
-        self.injectors[port].len()
-    }
-
-    /// Words still to be streamed by `port`'s injector, in drain order:
-    /// the front packet's *remaining* words first, then each queued
-    /// packet's full word count. Seeds the parallel engine's shadow
-    /// injector ring at a chunk boundary. The front entry is always ≥ 1:
-    /// a fully-sent packet is popped the cycle its last word moves.
-    pub(crate) fn injector_backlog(&self, port: usize) -> ([u8; INJ_CAP], usize) {
-        let inj = &self.injectors[port];
-        let mut words = [0u8; INJ_CAP];
-        for (slot, out) in words.iter_mut().enumerate().take(inj.len()) {
-            *out = inj.slots[(usize::from(inj.head) + slot) % INJ_CAP].1;
-        }
-        if inj.len() > 0 {
-            debug_assert!(words[0] > inj.words_sent);
-            words[0] -= inj.words_sent;
-        }
-        (words, inj.len())
-    }
-
-    /// Occupancy, in words, of the stage-0 switch queue that `port`'s
-    /// injector streams into (each port owns its stage-0 line through the
-    /// perfect shuffle, so this occupancy is what gates injection drains).
-    pub(crate) fn stage0_queue_len(&self, port: usize) -> usize {
-        usize::from(self.qlen[self.shuffle_tab[port] as usize])
-    }
-
-    /// Capacity, in words, of each stage queue.
-    pub(crate) fn stage_queue_cap(&self) -> usize {
-        self.queue_cap
-    }
-
-    /// Capacity, in packets, of each port's injector ring.
-    pub(crate) fn injector_capacity(&self) -> usize {
-        self.injector_cap
-    }
-
-    /// True when the fault layer currently holds `port`'s link down.
-    pub(crate) fn port_link_down(&self, port: usize) -> bool {
-        self.faults.as_deref().is_some_and(|f| f.down[port])
-    }
-
-    /// Fold `n` link-refused injection attempts counted outside the
-    /// network into `link_blocked`. The parallel engine's staging ports
-    /// refuse injections on behalf of a downed link mid-chunk (exactly as
-    /// [`Omega::try_inject`] would have, which charges the stat without
-    /// touching any other state) and account them here at the exchange.
-    pub(crate) fn add_link_blocked(&mut self, n: u64) {
-        self.stats.link_blocked += n;
-    }
-
     /// Statistics since construction.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -751,13 +685,13 @@ impl Omega {
 
     /// Arbitration losses per switch stage (index = stage).
     pub fn stage_conflicts(&self) -> &[u64] {
-        &self.stage_conflicts
+        &self.stage_conflicts[..self.stages]
     }
 
     /// Flow-control blocks per switch stage (index = stage; injection
     /// blocks are charged to stage 0).
     pub fn stage_blocked(&self) -> &[u64] {
-        &self.stage_blocked
+        &self.stage_blocked[..self.stages]
     }
 
     /// Distribution of stage-queue depths, sampled after every word push.
@@ -803,11 +737,9 @@ impl Omega {
                 // again moves nothing.
                 self.stats.blocked_moves += c.blocked;
                 self.stats.arbitration_losses += c.losses;
-                for (s, d) in c.stage_blocked.iter().enumerate() {
-                    self.stage_blocked[s] += d;
-                }
-                for (s, d) in c.stage_conflicts.iter().enumerate() {
-                    self.stage_conflicts[s] += d;
+                for s in 0..self.stages {
+                    self.stage_blocked[s] += c.stage_blocked[s];
+                    self.stage_conflicts[s] += c.stage_conflicts[s];
                 }
                 self.stall_replays += 1;
                 return;
@@ -818,34 +750,20 @@ impl Omega {
         let moved0 = self.stats.words_moved;
         let blocked0 = self.stats.blocked_moves;
         let losses0 = self.stats.arbitration_losses;
-        let mut sb0 = [0u64; MAX_STAGES];
-        let mut sc0 = [0u64; MAX_STAGES];
-        sb0[..self.stages].copy_from_slice(&self.stage_blocked);
-        sc0[..self.stages].copy_from_slice(&self.stage_conflicts);
+        let sb0 = self.stage_blocked;
+        let sc0 = self.stage_conflicts;
         self.sweep(sink);
         if self.stats.words_moved == moved0 {
             // Nothing moved, so nothing in the network changed: queues,
             // locks, round-robin pointers and assemblers are untouched
             // (only stat charges were made). Cache the tick's exact charge
             // for O(1) replay while the stall horizon lasts.
-            let stage_blocked = self
-                .stage_blocked
-                .iter()
-                .zip(&sb0)
-                .map(|(a, b)| a - b)
-                .collect();
-            let stage_conflicts = self
-                .stage_conflicts
-                .iter()
-                .zip(&sc0)
-                .map(|(a, b)| a - b)
-                .collect();
             self.stall = Some(StallCharge {
                 epoch,
                 blocked: self.stats.blocked_moves - blocked0,
                 losses: self.stats.arbitration_losses - losses0,
-                stage_blocked,
-                stage_conflicts,
+                stage_blocked: std::array::from_fn(|s| self.stage_blocked[s] - sb0[s]),
+                stage_conflicts: std::array::from_fn(|s| self.stage_conflicts[s] - sc0[s]),
             });
         }
     }
@@ -1384,8 +1302,8 @@ impl Omega {
         w.u64(self.stats.link_blocked);
         w.u64(self.stats.drops);
         w.u64(self.stats.nacks);
-        w.u64s(&self.stage_conflicts);
-        w.u64s(&self.stage_blocked);
+        w.u64s(self.stage_conflicts());
+        w.u64s(self.stage_blocked());
         self.queue_depth.save_state(w);
         w.u64(self.stall_replays);
         w.opt(self.faults.as_deref(), |w, f| {
@@ -1488,8 +1406,8 @@ impl Omega {
         self.stats.link_blocked = r.u64()?;
         self.stats.drops = r.u64()?;
         self.stats.nacks = r.u64()?;
-        r.u64s_into(&mut self.stage_conflicts)?;
-        r.u64s_into(&mut self.stage_blocked)?;
+        r.u64s_into(&mut self.stage_conflicts[..self.stages])?;
+        r.u64s_into(&mut self.stage_blocked[..self.stages])?;
         self.queue_depth = Histogrammer::decode(r)?;
         self.stall_replays = r.u64()?;
         let had_faults = r.bool()?;
@@ -1529,7 +1447,7 @@ impl Omega {
                 self.inject_ports.set(port);
             }
         }
-        self.stage_words.iter_mut().for_each(|v| *v = 0);
+        self.stage_words = [0; MAX_STAGES];
         self.switch_words.iter_mut().for_each(|v| *v = 0);
         self.switch_busy.iter_mut().for_each(|v| *v = 0);
         for stage in 0..self.stages {

@@ -1,414 +1,360 @@
-//! The run loop: one engine, partitioned into one shard or several.
+//! The run loop: one engine, on one host thread or on two lanes.
 //!
-//! The simulated Cedar is four largely independent Alliant clusters that
-//! interact only through the omega networks, the global memory and the
-//! concurrency control buses — the same decomposition the hardware
-//! exploits. The run loop models that decomposition once: the
-//! cluster-local work (CE engines, prefetch units, cluster cache and
-//! memory, CC bus) lives in [`Shard`]s, the shared components stay on
-//! the [`Machine`], and the number of shards is a parameter
-//! ([`MachineConfig::num_threads`](crate::config::MachineConfig::num_threads)).
+//! A simulated cycle `t` has four phases, and the run loop ticks them in
+//! this order on every thread count:
 //!
-//! * **One shard** holds every cluster and runs on the calling thread.
-//!   Its CEs inject straight into the forward network, post straight
-//!   into the machine tracer and use the machine-wide page table; every
-//!   round is one cycle — shared components, then clusters. No thread,
-//!   barrier or staging buffer exists, and the shard's lock is taken
-//!   once for the whole run.
-//! * **Several shards** run on `std::thread::scope` workers (the
-//!   coordinator doubles as shard 0's worker). Their CEs inject into
-//!   per-port staging buffers and post into per-shard event buffers,
-//!   which the coordinator replays into the real network and tracer in
-//!   (cluster, CE) order — and the workers advance their clusters
-//!   **several cycles per barrier round** whenever the machine's
-//!   conservative lookahead allows it.
+//! | phase | work | reads and writes |
+//! |-------|------|------------------|
+//! | `G(t)` | fault transitions, memory modules tick | module queues; reply *injection* into the reverse network |
+//! | `R(t)` | reverse network moves, replies land in the CEs | reverse network; engines (reply latches, prefetch buffers); latency histogram |
+//! | `F(t)` | forward network moves, requests land in the modules | forward network; module queues |
+//! | `C(t)` | CC buses and CEs tick | clusters, engines, tracer, page table; request *injection* into the forward network |
 //!
-//! Everything else — the fault → memory → reverse → forward phase
-//! sequence, the event-horizon fold, fast-forward, the watchdog, the
-//! timeline, the auto-checkpoint — is the same code on every shard
-//! count, written over the shards the coordinator holds between cluster
-//! phases.
+//! The paper's machine couples its two unidirectional networks only at
+//! the modules and at the CEs, and the phases inherit that: `R(t)` and
+//! `F(t)` share nothing, and `C(t)` shares nothing with the *next*
+//! cycle's `G(t+1)`, which needs the module queues `F(t)` left and the
+//! reverse-injector room `R(t)` left but nothing the clusters do. So
+//! within one cycle the dependencies are `G(t) → {R(t) ‖ F(t)} → C(t)`,
+//! and `G(t+1)` may run beside `C(t)`.
 //!
-//! # Lookahead chunking
+//! * **One thread** (`num_threads == 1`): the four phase functions, called
+//!   in order on the calling thread. No thread, lock, hand-off or buffer
+//!   exists.
+//! * **Two lanes** (`num_threads >= 2`): lane A is the calling thread and
+//!   owns the clusters, engines, tracer and page table for the whole run;
+//!   lane B is one `std::thread::scope` worker. Each round has two
+//!   [`Handoff`]s: after the first, `R(t)` runs on lane A beside `F(t)` on
+//!   lane B; after the second, `C(t)` runs on lane A beside `G(t+1)` on
+//!   lane B. The CEs inject straight into the forward network and post
+//!   straight into the machine tracer, exactly as on one thread. A cycle
+//!   has no third independent part, so more threads than two buy nothing
+//!   and are not used.
 //!
-//! A cluster can only be affected by another cluster through the shared
-//! components: a reverse-network delivery is the *only* externally
-//! driven input a CE ever sees mid-run. At the start of a round the
-//! coordinator therefore derives a **horizon** `H` — a lower bound on
-//! the number of upcoming cycles that are certainly delivery-free —
-//! from the shared components' states (see DESIGN.md §9 for the
-//! derivation). The network is double-clocked, so a packet whose tail
-//! word has left its injector can cross *all* switch stages within one
-//! cycle: the bounds are word- and service-limited, never
-//! stage-limited. `H` is the minimum over the applicable bounds:
+//! The forward network, the reverse network and the global memory are
+//! each touched by one lane per phase. They live in
+//! [`Baton`](crate::handoff::Baton)s on the machine; lane A lends a
+//! component to lane B by moving its box into a mutex-guarded slot on the
+//! [`Link`] before a hand-off and takes it back after a later one. The
+//! hand-offs order every access, so the slot locks are never contended —
+//! they are what lets safe Rust see the exclusivity.
 //!
-//! * reverse network busy → `H = 0` (a delivery may land next cycle);
-//! * a busy memory module → `H = gmem.next_event − t0` (a module's
-//!   earliest visible action is a reply injection, and a 1-word
-//!   write-ack delivers the cycle after it is injected);
-//! * forward network busy → `H = service + 2` (module delivery next
-//!   cycle, service pickup the cycle after, minimum service time, then
-//!   the 1-word reply bound);
-//! * always applicable → `H = service + 4` (a fresh CE request staged
-//!   at `t0+1` needs an injector-drain cycle and a module-delivery
-//!   cycle before the same service-and-reply path).
+//! # The early memory tick
 //!
-//! The chunk length `L` is `H` clamped by every event the coordinator
-//! must observe on its exact cycle: the utilization-timeline boundary,
-//! the next fault-schedule transition, the watchdog's next inspection,
-//! the cycle limit, the configured `chunk_cycles` cap, and — the subtle
-//! one — per-port injector headroom (below). `L ≤ 1` is a per-cycle
-//! round: the shared components run first, so this cycle's replies
-//! reach the CEs, and the one cycle of staged traffic is applied right
-//! after the cluster phase.
+//! `G(t+1)` runs beside `C(t)` only when it is provably what the in-order
+//! loop would do next. Otherwise lane B sits the second phase out and
+//! `G(t+1)` runs at the top of the next round, on lane A, exactly as on
+//! one thread. The refusals, each with the between-rounds step it
+//! protects:
 //!
-//! For a chunk, each worker runs its clusters `L` cycles back to back,
-//! staging every injection with its cycle tag. The coordinator then
-//! *replays* the shared components cycle by cycle — memory tick, reverse
-//! tick (asserted delivery-free), forward tick, then the staged
-//! injections and trace events for that cycle in (cluster, CE) order —
-//! so the real networks and memory observe **exactly the call sequence
-//! of per-cycle rounds** and every stat, stall charge, fault draw and
-//! trace stamp lands where direct injection would put it.
+//! 1. *No network holds a packet after `R(t)` and `F(t)`* — the done-check
+//!    might end the run, or fast-forward might skip cycles, after `C(t)`.
+//!    (A busy network pins both answers to "tick the next cycle": the
+//!    clusters can only add packets.)
+//! 2. *An auto-checkpoint is due at `t`* — its image must hold the state
+//!    before `G(t+1)`.
+//! 3. *A watchdog inspection is due at `t`* — its hang report reads the
+//!    module queues and the reverse network.
+//! 4. *The cycle budget is exhausted at `t`* — the run stops there, and a
+//!    stopped machine must image identically on every thread count.
+//! 5. *A fault-schedule transition falls at `t+1`* — it must be applied
+//!    before `G(t+1)`, and it writes both networks.
+//!
+//! When the tick does run early the between-rounds steps that would read
+//! a lent component are skipped, their answers being known; the
+//! utilization timeline, which reads only engines, runs as always.
 //!
 //! # Determinism
 //!
-//! A run is bit-for-bit the same on every shard count, not merely
-//! "equivalent up to reordering". That follows from four facts:
-//!
-//! 1. **Cluster state is disjoint.** A CE only touches its own cluster's
-//!    cache, TLB and CC bus, so shards never share mutable state.
-//! 2. **Cross-cluster traffic is per-port.** A CE (and its prefetch unit)
-//!    injects only at its own forward-network port, and acceptance
-//!    depends only on that port's injector occupancy. Each staging port
-//!    ([`PortStage`]) mirrors the occupancy with a shadow ring seeded
-//!    from the real injector at the round start and drained one word per
-//!    cycle — exactly the real injector's drain rate, which is
-//!    guaranteed because the chunk is clamped to the port's stage-queue
-//!    headroom (`queue_cap − occupancy`, plus one free cycle when the
-//!    ring starts empty), so the real drain can never block mid-chunk.
-//! 3. **Within a cycle, injections are invisible.** A cycle moves
-//!    network words *before* ticking CEs, so a packet injected during the
-//!    CE phase is not observed by anything until the next cycle; applying
-//!    it at the replay step instead of mid-phase changes nothing.
-//! 4. **Chunks are delivery-free.** The horizon bound guarantees no
-//!    reverse-network delivery falls inside a chunk (debug-asserted), so
-//!    no cluster input is ever computed from stale shared state.
-//!
-//! Tracer events posted by CEs are buffered per shard with their cycle
-//! tags and merged per replayed cycle in shard order — direct posting's
-//! exact order, including capacity drops, which only the machine-level
-//! tracer applies. The one model staging cannot reproduce is demand
-//! paging, where same-cycle faults from different clusters race for the
-//! machine-wide page table; with [`VmConfig::enabled`]
-//! (`crate::config::VmConfig::enabled`) set the machine runs as one
-//! shard.
+//! A run is bit-for-bit the same on every thread count — cycles, stats
+//! tree, trace stream, `memory_digest()`, snapshot bytes — because each
+//! component is touched by one lane per phase and the phase order is the
+//! one-thread order: `R(t) ‖ F(t)` and `C(t) ‖ G(t+1)` pair phases with
+//! disjoint state (table above), and every other step runs on lane A
+//! between rounds with the whole machine in hand.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 use crate::ce::{min_event, CeContext, CeEngine};
-use crate::error::{ChunkedContext, HangReport, MachineError, Result};
-use crate::machine::{Cluster, Machine, Watchdog, STUCK_SYNC_CHECKS};
-use crate::monitor::{EventTracer, Histogrammer};
-use crate::network::omega::INJ_CAP;
+use crate::error::{HangReport, LaneContext, MachineError, Result};
+use crate::handoff::{lent, Handoff, Leave, Released, Slot, LANE_A, LANE_B, STOPPED};
+use crate::machine::{Machine, Watchdog, STUCK_SYNC_CHECKS};
+use crate::memory::global::GlobalMemory;
+use crate::monitor::Histogrammer;
 use crate::network::packet::{Packet, Payload, Stream};
-use crate::network::{InjectPort, NetSink, Omega};
-use crate::sched::{BarrierDef, CounterDef};
+use crate::network::{NetSink, Omega};
 use crate::snapshot::CkptCtl;
 use crate::stats::{MachineStats, UtilSample};
 use crate::time::Cycle;
-use crate::trace::{profiled, region};
-use crate::vm::PageTable;
+use crate::trace::{profiled, region, HostProfiler};
 
-/// A reusable sense-reversing barrier. `std::sync::Barrier` parks and
-/// wakes through a mutex/condvar pair, which costs microseconds per wait;
-/// at two waits per barrier round that would swamp the cluster work.
-/// This one spins briefly and then yields, so it stays cheap both on
-/// dedicated cores and on oversubscribed hosts.
-struct SpinBarrier {
-    members: usize,
-    /// Spin iterations before falling back to `yield_now`. Zero when the
-    /// host has fewer cores than barrier members: spinning there only
-    /// burns the timeslice the straggler needs.
-    max_spins: u32,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
+/// One lane's hand-off waits: how many, and (under host profiling) how
+/// long.
+#[derive(Debug, Default, Clone, Copy)]
+struct Waits {
+    count: u64,
+    ns: u64,
 }
 
-impl SpinBarrier {
-    fn new(members: usize) -> SpinBarrier {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        SpinBarrier {
-            members,
-            max_spins: if cores >= members { 128 } else { 0 },
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
+/// What the two lanes share. A one-thread run builds none of it.
+///
+/// A round's two hand-offs carry, as notes: at the first, lane A's
+/// `now << 1 | may_tick_early` (refusals 2–5 of the early memory tick all
+/// pass); at the second, each lane's "my network still holds a packet"
+/// (refusal 1), from which both work out [`ticks_early`] alike.
+struct Link {
+    handoff: Handoff,
+    forward: Slot<Omega>,
+    reverse: Slot<Omega>,
+    gmem: Slot<GlobalMemory>,
+    /// Whether hand-off waits and lane B's phases are timed (host
+    /// profiling is on).
+    timed: bool,
+}
+
+/// Whether a round's second phase runs `G(t+1)` on lane B.
+fn ticks_early(may_tick_early: bool, forward_busy: bool, reverse_busy: bool) -> bool {
+    may_tick_early && (forward_busy || reverse_busy)
+}
+
+/// What lane B brings home when the run ends.
+struct LaneBTally {
+    waits: Waits,
+    profiler: Option<Box<HostProfiler>>,
+}
+
+impl Link {
+    fn new(timed: bool) -> Link {
+        Link {
+            handoff: Handoff::new(),
+            forward: Slot::empty(),
+            reverse: Slot::empty(),
+            gmem: Slot::empty(),
+            timed,
         }
     }
 
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.members {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                if spins < self.max_spins {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+    /// [`Handoff::meet`] for lane `me`, counted (and, under host
+    /// profiling, timed) into `waits`.
+    fn meet(&self, me: usize, note: u64, waits: &mut Waits) -> std::result::Result<u64, Released> {
+        waits.count += 1;
+        if !self.timed {
+            return self.handoff.meet(me, note);
+        }
+        let t0 = Instant::now();
+        let met = self.handoff.meet(me, note);
+        waits.ns += t0.elapsed().as_nanos() as u64;
+        met
+    }
+
+    /// Lane B's life: `F(t)`, then `G(t+1)` when it may run early, every
+    /// round until lane A leaves.
+    fn serve(&self) -> LaneBTally {
+        let _leave = Leave(&self.handoff, LANE_B);
+        let mut tally = LaneBTally {
+            waits: Waits::default(),
+            profiler: self.timed.then(Box::default),
+        };
+        loop {
+            let Ok(order) = self.meet(LANE_B, 0, &mut tally.waits) else {
+                return tally;
+            };
+            let (now, may_tick_early) = (Cycle(order >> 1), order & 1 != 0);
+            let forward_busy = {
+                let (mut forward, mut gmem) = (self.forward.lock(), self.gmem.lock());
+                let forward = lent(&mut forward);
+                forward_phase(&mut tally.profiler, forward, lent(&mut gmem));
+                !forward.is_idle()
+            };
+            let Ok(reverse_busy) = self.meet(LANE_B, u64::from(forward_busy), &mut tally.waits)
+            else {
+                return tally;
+            };
+            if ticks_early(may_tick_early, forward_busy, reverse_busy != 0) {
+                let (mut reverse, mut gmem) = (self.reverse.lock(), self.gmem.lock());
+                memory_tick(
+                    &mut tally.profiler,
+                    lent(&mut gmem),
+                    lent(&mut reverse),
+                    now + 1,
+                );
             }
         }
     }
 }
 
-/// Per-worker barrier-wait accounting: wall time spent waiting and the
-/// number of waits, read into the host profiler after the run.
-type SyncWait = (AtomicU64, AtomicU64); // (total_ns, waits)
+/// Lane A's end of a two-lane run.
+struct LaneA<'scope, 'env> {
+    link: &'env Link,
+    lane_b: Option<ScopedJoinHandle<'scope, LaneBTally>>,
+    _leave: Leave<'env>,
+    waits: Waits,
+    rounds: u64,
+    early_ticks: u64,
+}
 
-/// Wait on `b`, charging the wait's wall time to `acc` when profiling.
-#[inline]
-fn timed_wait(b: &SpinBarrier, acc: Option<&SyncWait>) {
-    match acc {
-        Some((ns, waits)) => {
-            let t0 = std::time::Instant::now();
-            b.wait();
-            ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            waits.fetch_add(1, Ordering::Relaxed);
+impl<'scope, 'env> LaneA<'scope, 'env> {
+    fn start(scope: &'scope Scope<'scope, 'env>, link: &'env Link) -> LaneA<'scope, 'env> {
+        LaneA {
+            link,
+            lane_b: Some(scope.spawn(move || link.serve())),
+            _leave: Leave(&link.handoff, LANE_A),
+            waits: Waits::default(),
+            rounds: 0,
+            early_ticks: 0,
         }
-        None => b.wait(),
+    }
+
+    /// Lane B's tally once it has gone home; its panic, re-raised here on
+    /// the calling thread, if that is how it went.
+    fn join(&mut self) -> LaneBTally {
+        let lane_b = self.lane_b.take().expect("lane B is joined once");
+        lane_b
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    fn meet(&mut self, note: u64) -> u64 {
+        match self.link.meet(LANE_A, note, &mut self.waits) {
+            Ok(note) => note,
+            // Only this lane stops the hand-off, so lane B unwound.
+            Err(_) => {
+                self.join();
+                unreachable!("lane B left the run without panicking");
+            }
+        }
+    }
+
+    /// Cycle `now`'s network and cluster phases, `G(now)` done: `R ‖ F`,
+    /// then `C ‖ G(now + 1)` when the memory tick may run early (the
+    /// return value). `was_early` says the previous round's did, so the
+    /// reverse network and the memory are still with lane B.
+    fn round(
+        &mut self,
+        m: &mut Machine,
+        now: Cycle,
+        was_early: bool,
+        may_tick_early: bool,
+    ) -> bool {
+        let link = self.link;
+        m.forward.lend(&link.forward);
+        if !was_early {
+            m.gmem.lend(&link.gmem);
+        }
+        self.meet(now.0 << 1 | u64::from(may_tick_early));
+
+        if was_early {
+            m.reverse.reclaim(&link.reverse);
+        }
+        m.reverse_phase(now);
+        let reverse_busy = !m.reverse.is_idle();
+        if may_tick_early {
+            m.reverse.lend(&link.reverse);
+        }
+        let forward_busy = self.meet(u64::from(reverse_busy)) != 0;
+
+        m.forward.reclaim(&link.forward);
+        let early = ticks_early(may_tick_early, forward_busy, reverse_busy);
+        if !early {
+            m.gmem.reclaim(&link.gmem);
+            if may_tick_early {
+                m.reverse.reclaim(&link.reverse);
+            }
+        }
+        m.cluster_phase(now);
+        self.rounds += 1;
+        self.early_ticks += u64::from(early);
+        early
+    }
+
+    /// Send lane B home and fold what both lanes counted into the host
+    /// profile.
+    fn finish(mut self, profiler: &mut Option<Box<HostProfiler>>) -> LaneContext {
+        self.link.handoff.release(LANE_A, STOPPED);
+        let lane_b = self.join();
+        let lanes = LaneContext {
+            rounds: self.rounds,
+            early_memory_ticks: self.early_ticks,
+            lane_waits: [self.waits, lane_b.waits]
+                .iter()
+                .enumerate()
+                .map(|(lane, w)| (lane, w.count, w.ns))
+                .collect(),
+        };
+        if let Some(p) = profiler.as_deref_mut() {
+            if let Some(theirs) = &lane_b.profiler {
+                p.merge_regions(theirs);
+            }
+            for &(lane, waits, ns) in &lanes.lane_waits {
+                p.add_named(&format!("sync_wait_w{lane}"), waits, ns);
+            }
+            p.add_named("exchanges", lanes.rounds, 0);
+            p.add_named("early_memory_ticks", lanes.early_memory_ticks, 0);
+        }
+        lanes
     }
 }
 
-/// A per-port staging buffer standing in for the forward network during
-/// the cluster phase of a multi-shard run. It mirrors the port's real
-/// injector with a shadow ring of remaining word counts, so acceptance
-/// decisions over a whole chunk match what `Omega::try_inject` would
-/// have returned cycle by cycle, and records accepted packets with their
-/// cycle tags for deterministic replay at the exchange.
-struct PortStage {
-    /// The global network port this stage fronts (the owning CE's port).
-    port: usize,
-    /// The real injector's packet capacity.
-    cap: usize,
-    /// Link forced down by the fault layer, frozen for the round (chunks
-    /// are clamped to end before the next fault-schedule transition).
-    down: bool,
-    /// Injection attempts refused because the link is down; folded into
-    /// the network's `link_blocked` at the exchange, exactly the stat
-    /// (and the only state) `Omega::try_inject` charges for these.
-    blocked: u64,
-    /// Shadow injector ring: remaining words of each queued packet, in
-    /// drain order. Seeded from the real injector at the round start.
-    ring: [u8; INJ_CAP],
-    ring_len: usize,
-    /// The worker-side cycle currently executing; tags staged packets.
+/// `G(now)` after its fault transitions: the memory modules tick,
+/// injecting replies into `reverse`.
+fn memory_tick(
+    profiler: &mut Option<Box<HostProfiler>>,
+    gmem: &mut GlobalMemory,
+    reverse: &mut Omega,
     now: Cycle,
-    /// Accepted packets in injection order, tagged with their cycle.
-    staged: Vec<(Cycle, Packet)>,
-    /// Replay cursor into `staged` (entries are cycle-ascending).
-    replayed: usize,
+) {
+    // The omegas have no absolute clock of their own; give the reverse
+    // network's tracing layer (if any) the cycle before its first
+    // activity of the cycle.
+    reverse.set_trace_now(now);
+    profiled(profiler, region::GMEM, || gmem.tick(now, reverse));
 }
 
-impl PortStage {
-    /// Start worker-side cycle `now`. On the chunked path (`drain`), the
-    /// shadow ring first streams one word the way `Omega::inject_words`
-    /// will during the replay of this cycle; the chunk clamp guarantees
-    /// the real drain cannot block, so one word per cycle is exact. On
-    /// the per-cycle path the real network already drained before the
-    /// occupancy was frozen, so only the cycle tag advances.
-    #[inline]
-    fn begin_cycle(&mut self, now: Cycle, drain: bool) {
-        self.now = now;
-        if drain && self.ring_len > 0 {
-            self.ring[0] -= 1;
-            if self.ring[0] == 0 {
-                self.ring.copy_within(1..self.ring_len, 0);
-                self.ring_len -= 1;
-            }
-        }
-    }
-}
-
-impl InjectPort for PortStage {
-    fn try_inject(&mut self, port: usize, packet: Packet) -> bool {
-        debug_assert_eq!(port, self.port, "CE injected at a foreign port");
-        if self.down {
-            // Serial order: the down check precedes the capacity check
-            // and charges `link_blocked` without consuming fault-mix
-            // draws or clearing stall state.
-            self.blocked += 1;
-            return false;
-        }
-        if self.ring_len >= self.cap {
-            return false;
-        }
-        self.ring[self.ring_len] = packet.words;
-        self.ring_len += 1;
-        self.staged.push((self.now, packet));
-        true
-    }
-}
-
-/// Where a lone shard's CEs send what leaves their clusters: with nothing
-/// to race against they inject into the real forward network, post into
-/// the machine tracer and walk the machine-wide page table (which is what
-/// lets demand paging run at all — see the module docs).
-struct Direct<'a> {
-    forward: &'a mut Omega,
-    tracer: &'a mut EventTracer,
-    page_table: &'a mut PageTable,
-}
-
-/// One worker's slice of the machine: a contiguous run of clusters and
-/// their engines, plus the staging state that decouples the shard from
-/// everything shared. A one-shard run keeps the whole machine in one of
-/// these and leaves the staging state empty.
-struct Shard {
-    first_cluster: usize,
-    /// Network port of `engines[0]` (CE ids and ports coincide).
-    first_port: usize,
-    clusters: Vec<Cluster>,
-    /// Engines of the shard's CEs, indexed by CE id minus `first_port`.
-    engines: Vec<Option<CeEngine>>,
-    /// One staging buffer per engine slot; empty when the shard injects
-    /// directly.
-    stages: Vec<PortStage>,
-    /// Per-round event buffer, merged into the machine tracer in cycle
-    /// then cluster order at the exchange. Unbounded: only the machine
-    /// tracer applies capacity, so drops land exactly where direct
-    /// posting drops.
-    events: EventTracer,
-    /// Merge cursor into `events` (entries are cycle-ascending).
-    events_cursor: usize,
-    /// Scratch page table handed to `CeContext` by staged shards. Never
-    /// touched: more than one shard only runs with VM modelling off.
-    page_table: PageTable,
-    /// The machine's counter and barrier registries (frozen for the run).
-    counters: Arc<[CounterDef]>,
-    barriers: Arc<[BarrierDef]>,
-    /// First chunked-round cycle at whose end every local engine was
-    /// done, while that has stayed true since (doneness is monotone
-    /// mid-run; the chunk replay uses this to stop on the exact cycle a
-    /// per-cycle run would).
-    done_since: Option<Cycle>,
-}
-
-impl Shard {
-    /// The cluster phase of one cycle: every CC bus first, then the
-    /// engines in CE-id order. `drain` streams the shadow injector rings
-    /// (chunked rounds only); `direct` bypasses the staging state.
-    fn tick(&mut self, now: Cycle, drain: bool, mut direct: Option<&mut Direct<'_>>) {
-        let Shard {
-            first_cluster,
-            clusters,
-            engines,
-            stages,
-            events,
-            page_table,
-            counters,
-            barriers,
-            done_since,
-            ..
-        } = self;
-        for st in stages.iter_mut() {
-            st.begin_cycle(now, drain);
-        }
-        for cl in clusters.iter_mut() {
-            cl.ccbus.tick(now);
-        }
-        for (i, e) in engines.iter_mut().enumerate() {
-            let Some(e) = e else { continue };
-            // Lowered mode: parked in a fused timed stall (or finished) —
-            // one attribution increment, no context plumbing.
-            let cluster = &mut clusters[e.cluster().0 - *first_cluster];
-            if e.try_quick_tick(now, &cluster.ccbus) {
-                continue;
-            }
-            let (forward, tracer, page_table): (&mut dyn InjectPort, _, _) = match &mut direct {
-                Some(d) => (&mut *d.forward, &mut *d.tracer, &mut *d.page_table),
-                None => (&mut stages[i], &mut *events, &mut *page_table),
-            };
-            let mut ctx = CeContext {
-                forward,
-                cache: &mut cluster.cache,
-                ccbus: &mut cluster.ccbus,
-                tlb: &mut cluster.tlb,
-                page_table,
-                counters,
-                barriers,
-                tracer,
-            };
-            e.tick(now, &mut ctx);
-        }
-        // Only a chunk replay reads the marker, so only chunked ticks
-        // maintain it.
-        if drain {
-            *done_since = if engines.iter().flatten().all(CeEngine::is_done) {
-                done_since.or(Some(now))
-            } else {
-                None
-            };
-        }
-    }
-}
-
-/// A shard the coordinator currently holds. It holds every shard for the
-/// whole of its own phase and lets go of the workers' shards only around
-/// the cluster phase, so nothing below locks per cycle or per delivery.
-type Held<'a> = MutexGuard<'a, Shard>;
-
-fn hold(shard: &Mutex<Shard>) -> Held<'_> {
-    shard.lock().expect("a shard worker panicked mid-tick")
-}
-
-/// Every engine slot of the machine, in CE-id order (shards partition the
-/// CEs contiguously).
-fn engine_slots<'a>(held: &'a [Held<'_>]) -> impl Iterator<Item = &'a Option<CeEngine>> {
-    held.iter().flat_map(|sh| sh.engines.iter())
-}
-
-/// Every cluster of the machine, in id order.
-fn clusters<'a>(held: &'a [Held<'_>]) -> impl Iterator<Item = &'a Cluster> {
-    held.iter().flat_map(|sh| sh.clusters.iter())
+/// `F(t)`: the forward network moves, delivering requests into the
+/// modules.
+fn forward_phase(
+    profiler: &mut Option<Box<HostProfiler>>,
+    forward: &mut Omega,
+    gmem: &mut GlobalMemory,
+) {
+    profiled(profiler, region::FORWARD, || {
+        let epoch = gmem.accept_epoch();
+        forward.tick_epoch(gmem, epoch);
+    });
 }
 
 /// Fill `out` with cumulative per-CE utilization samples, one per
 /// configured CE (all-zero for CEs that run no program). Reuses the
 /// caller's buffer so the per-bucket timeline record allocates nothing.
-fn fill_util_samples(held: &[Held<'_>], out: &mut Vec<UtilSample>) {
+fn fill_util_samples(engines: &[Option<CeEngine>], out: &mut Vec<UtilSample>) {
     out.clear();
-    for sh in held {
-        out.extend(sh.engines.iter().map(|e| match e {
-            Some(e) => {
-                let s = e.stats();
-                UtilSample {
-                    busy: s.busy,
-                    stall_mem: s.stall_mem,
-                    stall_sync: s.stall_sync,
-                    idle: s.idle,
-                }
+    out.extend(engines.iter().map(|e| match e {
+        Some(e) => {
+            let s = e.stats();
+            UtilSample {
+                busy: s.busy,
+                stall_mem: s.stall_mem,
+                stall_sync: s.stall_sync,
+                idle: s.idle,
             }
-            None => UtilSample::default(),
-        }));
-    }
+        }
+        None => UtilSample::default(),
+    }));
 }
 
 /// Routes reverse-network deliveries into CE engines, histogramming
 /// prefetch round trips on the way past (the external monitor probes the
 /// reverse-network signals on the real machine).
-struct CeSink<'a, 'h> {
-    held: &'a mut [Held<'h>],
-    histogram: &'a mut Arc<Histogrammer>,
+struct CeSink<'a> {
+    /// Indexed by network port (CE ids and ports coincide).
+    engines: &'a mut [Option<CeEngine>],
+    histogram: &'a mut Histogrammer,
     now: Cycle,
 }
 
-impl NetSink for CeSink<'_, '_> {
+impl NetSink for CeSink<'_> {
     fn try_begin(&mut self, _port: usize) -> bool {
         // The CE side always sinks replies (prefetch buffer slots and
         // reply latches are pre-reserved by the requests themselves).
@@ -418,20 +364,12 @@ impl NetSink for CeSink<'_, '_> {
     fn deliver(&mut self, port: usize, packet: Packet) {
         if let Payload::Reply(r) = packet.payload {
             if matches!(r.stream, Stream::Prefetch { .. }) {
-                Arc::make_mut(self.histogram)
+                self.histogram
                     .record(self.now.saturating_since(r.req_issued) as usize);
             }
-            // Shards are in port order: the first one ending past `port`
-            // owns it (ports beyond the CE side belong to nobody).
-            let home = self
-                .held
-                .iter_mut()
-                .map(|sh| &mut **sh)
-                .find(|sh| port < sh.first_port + sh.engines.len());
-            if let Some(sh) = home {
-                if let Some(e) = &mut sh.engines[port - sh.first_port] {
-                    e.receive(self.now, r);
-                }
+            // Ports beyond the CE side belong to nobody.
+            if let Some(Some(e)) = self.engines.get_mut(port) {
+                e.receive(self.now, r);
             }
         } else {
             debug_assert!(false, "request packet delivered to CE side");
@@ -439,84 +377,11 @@ impl NetSink for CeSink<'_, '_> {
     }
 }
 
-/// What the coordinator and its workers share when more than one shard
-/// runs. A one-shard run builds none of it.
-struct Workers {
-    go: SpinBarrier,
-    handoff: SpinBarrier,
-    stop: AtomicBool,
-    /// One round's work order: run cycles `base+1 ..= base+len` (`len > 1`
-    /// is a chunked round, which drains the shadow injector rings).
-    base: AtomicU64,
-    len: AtomicU64,
-    /// Rounds completed (a statistic for the profiler and hang reports).
-    rounds: AtomicU64,
-    sync_waits: Vec<SyncWait>,
-    /// Whether barrier waits are timed (host profiling is on).
-    timed: bool,
-}
-
-impl Workers {
-    fn new(threads: usize, timed: bool) -> Workers {
-        Workers {
-            go: SpinBarrier::new(threads),
-            handoff: SpinBarrier::new(threads),
-            stop: AtomicBool::new(false),
-            base: AtomicU64::new(0),
-            len: AtomicU64::new(1),
-            rounds: AtomicU64::new(0),
-            sync_waits: (0..threads)
-                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-                .collect(),
-            timed,
-        }
-    }
-
-    fn acc(&self, w: usize) -> Option<&SyncWait> {
-        self.timed.then(|| &self.sync_waits[w])
-    }
-
-    /// Worker `w`'s life: run the ordered cycles on its shard each round
-    /// until told to stop.
-    fn serve(&self, w: usize, shard: &Mutex<Shard>) {
-        loop {
-            timed_wait(&self.go, self.acc(w));
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let base = self.base.load(Ordering::Acquire);
-            let len = self.len.load(Ordering::Acquire);
-            let mut sh = hold(shard);
-            for k in 1..=len {
-                sh.tick(Cycle(base + k), len > 1, None);
-            }
-            drop(sh);
-            timed_wait(&self.handoff, self.acc(w));
-        }
-    }
-}
-
-/// Lets the workers go home when the coordinator leaves the scope — by
-/// return or by panic. A coordinator panic (e.g. a violated debug
-/// assertion) would otherwise unwind into the scope's implicit join while
-/// the workers spin at `go`. This covers the between-rounds window, where
-/// every coordinator-side assertion lives — a panic inside a shard tick
-/// (on either side of the `go`/`handoff` pair) still hangs, as it must
-/// under any barrier scheme.
-struct ReleaseWorkers<'a>(&'a Workers);
-
-impl Drop for ReleaseWorkers<'_> {
-    fn drop(&mut self) {
-        self.0.stop.store(true, Ordering::Release);
-        self.0.go.wait();
-    }
-}
-
 impl Machine {
-    /// The run loop: partition the clusters across `effective_threads`
-    /// shards and step the machine round by round until every program
-    /// completes. See the module docs for what one shard and several
-    /// shards do differently, and for the determinism argument.
+    /// The run loop: step the machine round by round until every program
+    /// completes — on the calling thread alone, or with a second lane
+    /// beside it when two or more threads are configured. See the module
+    /// docs for the phases and the determinism argument.
     pub(crate) fn run_loop(
         &mut self,
         start: Cycle,
@@ -524,456 +389,230 @@ impl Machine {
         watchdog: &mut Watchdog,
         stats_start: &MachineStats,
     ) -> Result<()> {
-        let threads = self.effective_threads();
-        let shards = self.split_shards(threads, start);
-        let workers = (threads > 1).then(|| Workers::new(threads, self.profiler.is_some()));
+        let link = (self.cfg.num_threads >= 2).then(|| Link::new(self.profiler.is_some()));
+        let mut lanes = None;
         let result = std::thread::scope(|s| {
-            let workers = workers.as_ref();
-            if let Some(crew) = workers {
-                for (w, shard) in shards.iter().enumerate().skip(1) {
-                    s.spawn(move || crew.serve(w, shard));
-                }
-            }
-            let _release = workers.map(ReleaseWorkers);
+            let mut lane_a = link.as_ref().map(|link| LaneA::start(s, link));
             // Auto-checkpointing holds a file-writer thread for the run.
             // The control block lives in this closure, so every way out
             // of it — including a panic — drops the writer's handle,
             // which is what lets the scope join that thread.
-            let mut ckpt = match (self.cfg.checkpoint_every, &self.cfg.checkpoint_path) {
-                (every, Some(path)) if every > 0 => Some(CkptCtl::begin(
-                    s,
-                    every,
-                    path.clone(),
-                    self.now,
-                    start,
-                    limit,
-                    stats_start,
-                )?),
-                _ => None,
+            let ckpt = match (self.cfg.checkpoint_every, &self.cfg.checkpoint_path) {
+                (every, Some(path)) if every > 0 => {
+                    CkptCtl::begin(s, every, path.clone(), self.now, start, limit, stats_start)
+                        .map(Some)
+                }
+                _ => Ok(None),
             };
-            let result = self.run_rounds(&shards, workers, start, limit, watchdog, &mut ckpt);
-            // However the rounds ended, the last due checkpoint reaches
-            // the disk before the run returns — and a failed write fails
-            // the run, ahead of whatever else stopped it.
-            ckpt.map_or(Ok(()), CkptCtl::finish).and(result)
+            let result = ckpt.and_then(|mut ckpt| {
+                let result = self.run_rounds(lane_a.as_mut(), start, limit, watchdog, &mut ckpt);
+                // However the rounds ended, the last due checkpoint
+                // reaches the disk before the run returns — and a failed
+                // write fails the run, ahead of whatever else stopped it.
+                ckpt.map_or(Ok(()), CkptCtl::finish).and(result)
+            });
+            lanes = lane_a.map(|lane_a| lane_a.finish(&mut self.profiler));
+            result
         });
-
-        // Reassemble the machine whether the run finished or stopped
-        // early: `report`/`stats` need the clusters and engines back.
-        for shard in shards {
-            let sh = shard
-                .into_inner()
-                .expect("a shard worker panicked mid-tick");
-            self.clusters.extend(sh.clusters);
-            self.engines.extend(sh.engines);
-        }
-        let Some(workers) = workers else {
-            return result;
-        };
-        let chunked = ChunkedContext {
-            chunk_cycles: workers.len.load(Ordering::Relaxed),
-            exchanges: workers.rounds.load(Ordering::Relaxed),
-            worker_sync_waits: workers
-                .sync_waits
-                .iter()
-                .enumerate()
-                .map(|(w, (ns, waits))| {
-                    (w, waits.load(Ordering::Relaxed), ns.load(Ordering::Relaxed))
-                })
-                .collect(),
-        };
-        if let Some(p) = self.profiler.as_deref_mut() {
-            for &(w, waits, ns) in &chunked.worker_sync_waits {
-                p.add_named(&format!("sync_wait_w{w}"), waits, ns);
-            }
-            p.add_named("exchanges", chunked.exchanges, 0);
-        }
         result.map_err(|e| match e {
             MachineError::Deadlock { mut report } => {
-                report.chunked = Some(chunked);
+                report.lanes = lanes;
                 MachineError::Deadlock { report }
             }
             e => e,
         })
     }
 
-    /// Move the clusters and engines out of the machine into `threads`
-    /// contiguous shards, as evenly as possible. Several shards stage
-    /// their injections; a lone shard injects directly and gets no stages.
-    fn split_shards(&mut self, threads: usize, start: Cycle) -> Vec<Mutex<Shard>> {
-        let cpc = self.cfg.ces_per_cluster;
-        let n_clusters = self.cfg.clusters;
-        let injector_cap = self.forward.injector_capacity();
-        let counters: Arc<[CounterDef]> = self.counters.as_slice().into();
-        let barriers: Arc<[BarrierDef]> = self.barriers.as_slice().into();
-        let mut cluster_iter = std::mem::take(&mut self.clusters).into_iter();
-        let mut engine_iter = std::mem::take(&mut self.engines).into_iter();
-        let mut first_cluster = 0;
-        (0..threads)
-            .map(|w| {
-                let count = n_clusters / threads + usize::from(w < n_clusters % threads);
-                let first_port = first_cluster * cpc;
-                let engines: Vec<Option<CeEngine>> =
-                    engine_iter.by_ref().take(count * cpc).collect();
-                let stages = (0..if threads > 1 { count * cpc } else { 0 })
-                    .map(|i| PortStage {
-                        port: first_port + i,
-                        cap: injector_cap,
-                        down: false,
-                        blocked: 0,
-                        ring: [0; INJ_CAP],
-                        ring_len: 0,
-                        now: start,
-                        staged: Vec::new(),
-                        replayed: 0,
-                    })
-                    .collect();
-                let shard = Shard {
-                    first_cluster,
-                    first_port,
-                    clusters: cluster_iter.by_ref().take(count).collect(),
-                    done_since: None,
-                    engines,
-                    stages,
-                    events: EventTracer::with_capacity(usize::MAX),
-                    events_cursor: 0,
-                    page_table: PageTable::new(),
-                    counters: Arc::clone(&counters),
-                    barriers: Arc::clone(&barriers),
-                };
-                first_cluster += count;
-                Mutex::new(shard)
-            })
-            .collect()
-    }
-
-    /// The rounds of one run, on the coordinator. Each round advances the
-    /// machine `len` cycles: one when the reverse network may deliver
-    /// (shared components first, then the clusters — the only order in
-    /// which a CE can see this cycle's replies), the lookahead horizon
-    /// when it cannot (clusters first, then the shared components replayed
-    /// cycle by cycle against the staged injections). A lone shard injects
-    /// directly, so it never has anything to replay and always steps one
-    /// cycle.
+    /// The rounds of one run, one simulated cycle each: `G`, `R`, `F`, `C`
+    /// in order on the calling thread, or — with a second lane — `G`, then
+    /// `R ‖ F`, then `C` beside the next cycle's `G` when that may run
+    /// early (module docs).
     ///
-    /// Fast-forward and the auto-checkpoint run between rounds: every
-    /// staged injection and trace event is drained there, so the machine
-    /// state is the same on every shard count.
-    fn run_rounds<'s>(
+    /// The done-check, the watchdog, the budget, fast-forward and the
+    /// auto-checkpoint run between rounds with the whole machine home, so
+    /// the state they see is the same on every thread count. After an
+    /// early memory tick they are skipped: that tick is only taken when
+    /// none of them would act.
+    fn run_rounds(
         &mut self,
-        shards: &'s [Mutex<Shard>],
-        workers: Option<&Workers>,
+        mut lane_a: Option<&mut LaneA<'_, '_>>,
         start: Cycle,
         limit: u64,
         watchdog: &mut Watchdog,
         ckpt: &mut Option<CkptCtl>,
     ) -> Result<()> {
         let fastfwd = self.cfg.fast_forward && !crate::config::fastfwd_disabled_from_env();
-        let staged = workers.is_some();
-        let mut held: Vec<Held<'s>> = shards.iter().map(hold).collect();
-        while !self.all_done(&held) {
-            // Watchdog before the budget check: a true deadlock should
-            // surface as `Deadlock` (with its hang report), never as a
-            // generic `CycleLimitExceeded`.
-            if watchdog.due(self.now) {
-                self.check_progress(&held, watchdog)?;
-            }
-            if self.now.saturating_since(start) > limit {
-                return Err(MachineError::CycleLimitExceeded { limit });
-            }
-            let t0 = self.now;
-            let len = if staged {
-                self.chunk_len(watchdog, start, limit).max(1)
-            } else {
-                1
-            };
-
-            if len == 1 {
-                self.now += 1;
-                self.shared_phases(&mut held);
-            }
-            if staged {
-                // Freeze the injector state the shadow rings start from
-                // (post-tick occupancy on a one-cycle round).
-                for st in held.iter_mut().flat_map(|sh| sh.stages.iter_mut()) {
-                    st.down = self.forward.port_link_down(st.port);
-                    (st.ring, st.ring_len) = self.forward.injector_backlog(st.port);
-                    debug_assert!(st.staged.is_empty(), "stage not drained");
+        // `G(now + 1)` has already run, beside `C(now)`; the reverse
+        // network and the memory are with lane B until the next round's
+        // first hand-off.
+        let mut early = false;
+        loop {
+            if !early {
+                if self.all_done() {
+                    break;
+                }
+                // Watchdog before the budget check: a true deadlock should
+                // surface as `Deadlock` (with its hang report), never as a
+                // generic `CycleLimitExceeded`.
+                if watchdog.due(self.now) {
+                    self.check_progress(watchdog)?;
+                }
+                if self.now.saturating_since(start) > limit {
+                    return Err(MachineError::CycleLimitExceeded { limit });
                 }
             }
-
-            // Cluster phase: every worker on its own shard, this thread on
-            // shard 0 (the only one it keeps holding meanwhile).
-            held.truncate(1);
-            if let Some(w) = workers {
-                w.base.store(t0.0, Ordering::Release);
-                w.len.store(len, Ordering::Release);
-                timed_wait(&w.go, w.acc(0));
+            self.now += 1;
+            let now = self.now;
+            self.forward.set_trace_now(now);
+            if !early {
+                self.memory_phase(now);
             }
-            {
-                let Machine {
-                    profiler,
-                    forward,
-                    tracer,
-                    page_table,
-                    ..
-                } = &mut *self;
-                let mut direct = (!staged).then_some(Direct {
-                    forward,
-                    tracer,
-                    page_table,
-                });
-                profiled(profiler, region::CLUSTER, || {
-                    for k in 1..=len {
-                        held[0].tick(Cycle(t0.0 + k), len > 1, direct.as_mut());
-                    }
-                });
-            }
-            if let Some(w) = workers {
-                timed_wait(&w.handoff, w.acc(0));
-            }
-            held.extend(shards[1..].iter().map(hold));
-
-            if let Some(w) = workers {
-                if len == 1 {
-                    self.exchange(&mut held);
-                } else {
-                    self.replay_chunk(&mut held, Cycle(t0.0 + len));
+            // With both networks empty `R` and `F` have nothing to move,
+            // and a hand-off would cost more than the round: lane B is
+            // called on only when there is network work to split.
+            let split = early || !(self.forward.is_idle() && self.reverse.is_idle());
+            match lane_a.as_deref_mut().filter(|_| split) {
+                None => {
+                    self.reverse_phase(now);
+                    forward_phase(&mut self.profiler, &mut self.forward, &mut self.gmem);
+                    self.cluster_phase(now);
                 }
-                let mut blocked = 0u64;
-                for sh in held.iter_mut() {
-                    for st in &mut sh.stages {
-                        debug_assert_eq!(st.replayed, st.staged.len(), "unreplayed injection");
-                        st.staged.clear();
-                        st.replayed = 0;
-                        blocked += std::mem::take(&mut st.blocked);
-                    }
-                    debug_assert_eq!(sh.events_cursor, sh.events.events().len());
-                    sh.events.clear();
-                    sh.events_cursor = 0;
+                Some(lane_a) => {
+                    // Refusals 2–5 of the early memory tick (module docs);
+                    // the first needs the networks' state after phase 1.
+                    let may_tick_early = ckpt.as_ref().is_none_or(|ck| now < ck.next)
+                        && !watchdog.due(now)
+                        && now.saturating_since(start) <= limit
+                        && self.fault_sched.as_ref().and_then(|fs| fs.next_event(now))
+                            != Some(now + 1);
+                    early = lane_a.round(self, now, early, may_tick_early);
                 }
-                if blocked > 0 {
-                    self.forward.add_link_blocked(blocked);
-                }
-                w.rounds.fetch_add(1, Ordering::Relaxed);
             }
 
             let mut prof = self.profiler.take();
             if self.timeline.due(self.now) {
                 profiled(&mut prof, region::TIMELINE, || {
-                    fill_util_samples(&held, &mut self.util_scratch);
+                    fill_util_samples(&self.engines, &mut self.util_scratch);
                     self.timeline.record(&self.util_scratch);
                 });
             }
-            if fastfwd {
+            if fastfwd && !early {
                 profiled(&mut prof, region::FASTFWD, || {
-                    self.try_fast_forward(&mut held, start, limit);
+                    self.try_fast_forward(start, limit);
                 });
             }
             self.profiler = prof;
 
             // Auto-checkpoint between rounds: post-tick (and post-skip)
             // state is always self-consistent here, whether the run is
-            // mid-fast-forward, mid-outage or mid-journey, and walking the
-            // shards in order writes the same bytes on every shard count.
+            // mid-fast-forward, mid-outage or mid-journey. (Never due
+            // after an early memory tick.)
             if let Some(ck) = ckpt.as_mut() {
                 if self.now >= ck.next {
-                    self.autosave(ck, clusters(&held), engine_slots(&held), watchdog)?;
+                    self.autosave(ck, watchdog)?;
                 }
             }
         }
-        fill_util_samples(&held, &mut self.util_scratch);
+        fill_util_samples(&self.engines, &mut self.util_scratch);
         self.timeline.finish(self.now, &self.util_scratch);
         Ok(())
     }
 
-    /// The shared components' half of cycle `self.now`, in the one order
-    /// everything downstream depends on: fault schedule, memory, reverse
-    /// network (delivering into the engines), forward network.
-    fn shared_phases(&mut self, held: &mut [Held<'_>]) {
+    /// `G(now)` at the top of a round: fault-schedule transitions first,
+    /// then the memory tick.
+    fn memory_phase(&mut self, now: Cycle) {
         let Machine {
-            now,
             forward,
             reverse,
             gmem,
             fault_sched,
-            latency_histogram,
             profiler,
             ..
         } = self;
-        let now = *now;
-        // The omegas have no absolute clock of their own; give their
-        // tracing layer (if any) the cycle before any network activity.
-        forward.set_trace_now(now);
-        reverse.set_trace_now(now);
         if let Some(fs) = fault_sched {
             profiled(profiler, region::FAULTS, || {
                 fs.apply_due(now, forward, reverse, gmem);
             });
         }
-        profiled(profiler, region::GMEM, || gmem.tick(now, reverse));
+        memory_tick(profiler, gmem, reverse, now);
+    }
+
+    /// `R(now)`: the reverse network moves, delivering replies into the
+    /// engines.
+    fn reverse_phase(&mut self, now: Cycle) {
+        let Machine {
+            reverse,
+            engines,
+            latency_histogram,
+            profiler,
+            ..
+        } = self;
         profiled(profiler, region::REVERSE, || {
+            // Nothing to move (the tick would return at once): skip the
+            // copy-on-write check below too.
+            if reverse.is_idle() {
+                return;
+            }
             let mut sink = CeSink {
-                held,
-                histogram: latency_histogram,
+                engines,
+                // Copy-on-write against registry snapshots, resolved once
+                // per tick rather than once per reply.
+                histogram: Arc::make_mut(latency_histogram),
                 now,
             };
             // The CE side always accepts (try_begin is constant), so the
             // reverse network runs under a constant acceptance epoch.
             reverse.tick_epoch(&mut sink, 0);
         });
-        profiled(profiler, region::FORWARD, || {
-            let epoch = gmem.accept_epoch();
-            forward.tick_epoch(gmem, epoch);
-        });
     }
 
-    /// Apply cycle `self.now`'s staged injections to the real forward
-    /// network and merge its trace events into the machine tracer, in
-    /// (cluster, CE) order — the order direct injection produces.
-    fn exchange(&mut self, held: &mut [Held<'_>]) {
+    /// `C(now)`: every CC bus first, then the engines in CE-id order.
+    fn cluster_phase(&mut self, now: Cycle) {
         let Machine {
-            now,
             forward,
+            clusters,
+            engines,
+            page_table,
             tracer,
+            counters,
+            barriers,
             profiler,
             ..
         } = self;
-        let now = *now;
-        profiled(profiler, region::EXCHANGE, || {
-            for sh in held.iter_mut() {
-                let Shard {
-                    stages,
-                    events,
-                    events_cursor,
-                    ..
-                } = &mut **sh;
-                for st in stages.iter_mut() {
-                    while let Some(&(at, pkt)) = st.staged.get(st.replayed) {
-                        if at != now {
-                            break;
-                        }
-                        let accepted = forward.try_inject(st.port, pkt);
-                        debug_assert!(accepted, "staged injection exceeded capacity");
-                        st.replayed += 1;
-                    }
+        let forward: &mut Omega = forward;
+        profiled(profiler, region::CLUSTER, || {
+            for cl in clusters.iter_mut() {
+                cl.ccbus.tick(now);
+            }
+            for e in engines.iter_mut().flatten() {
+                // Lowered mode: parked in a fused timed stall (or
+                // finished) — one attribution increment, no context
+                // plumbing.
+                let cluster = &mut clusters[e.cluster().0];
+                if e.try_quick_tick(now, &cluster.ccbus) {
+                    continue;
                 }
-                while let Some(&(at, tag)) = events.events().get(*events_cursor) {
-                    if at != now {
-                        break;
-                    }
-                    tracer.post(at, tag);
-                    *events_cursor += 1;
-                }
+                let mut ctx = CeContext {
+                    forward: &mut *forward,
+                    cache: &mut cluster.cache,
+                    ccbus: &mut cluster.ccbus,
+                    tlb: &mut cluster.tlb,
+                    page_table: &mut *page_table,
+                    counters,
+                    barriers,
+                    tracer: &mut *tracer,
+                };
+                e.tick(now, &mut ctx);
             }
         });
-    }
-
-    /// After the workers ran their clusters through `chunk_end`: let the
-    /// shared components observe the exact per-cycle call sequence for
-    /// each chunk cycle, with that cycle's staged traffic applied after
-    /// it, stopping where a per-cycle run would stop ticking.
-    fn replay_chunk(&mut self, held: &mut [Held<'_>], chunk_end: Cycle) {
-        let delivered_before = self.reverse.stats().packets_delivered;
-        while self.now < chunk_end {
-            self.now += 1;
-            self.shared_phases(held);
-            debug_assert_eq!(
-                self.reverse.stats().packets_delivered,
-                delivered_before,
-                "lookahead violated: a delivery landed at cycle {} inside the chunk ending at {}",
-                self.now.0,
-                chunk_end.0,
-            );
-            self.exchange(held);
-            let u = self.now;
-            if held.iter().all(|sh| sh.done_since.is_some_and(|d| d <= u)) && self.shared_idle() {
-                break;
-            }
-        }
-        // The workers overshot the completion cycle; every overshot tick
-        // of a done engine is a pure `idle += 1`, so retract the overshoot
-        // and the stats match a per-cycle run exactly.
-        let over = chunk_end.saturating_since(self.now);
-        if over > 0 {
-            for sh in held.iter_mut() {
-                for e in sh.engines.iter_mut().flatten() {
-                    e.uncount_idle(over);
-                }
-            }
-        }
-    }
-
-    /// Cycles the next round may run the clusters ahead of the shared
-    /// components: the delivery-free horizon — the minimum over every
-    /// source that could put a reply into the reverse network (module-doc
-    /// derivation) — clamped by every event that must land on its exact
-    /// cycle. At most 1 means a per-cycle round.
-    fn chunk_len(&self, watchdog: &Watchdog, start: Cycle, limit: u64) -> u64 {
-        let t0 = self.now;
-        if !self.reverse.is_idle() {
-            return 0;
-        }
-        // Minimum module service time: the floor under every
-        // request-to-reply bound (sync requests only add to it).
-        // Validation guarantees it is at least 1.
-        let min_service = u64::from(self.cfg.global_memory.service_cycles);
-        // A fresh CE request staged at t0+1: injector drain at t0+2,
-        // module delivery at t0+3, then service and the 1-word-reply
-        // delivery bound.
-        let mut l = min_service + 4;
-        if !self.forward.is_idle() {
-            // An in-flight request: module delivery at t0+1, service
-            // pickup at t0+2.
-            l = l.min(min_service + 2);
-        }
-        if let Some(ev) = self.gmem.next_event(t0) {
-            // A busy module: its earliest visible action is the reply
-            // injection itself, and a 1-word reply delivers the cycle
-            // after.
-            l = l.min(ev.saturating_since(t0));
-        }
-        if l <= 1 {
-            return l;
-        }
-        // 0 means no cap beyond the lookahead bound.
-        if self.cfg.chunk_cycles > 0 {
-            l = l.min(self.cfg.chunk_cycles as u64);
-        }
-        l = l.min(watchdog.next_check().saturating_since(t0));
-        l = l.min(self.timeline.next_boundary().saturating_since(t0));
-        let budget_end = start.0.saturating_add(limit).saturating_add(1);
-        l = l.min(budget_end.saturating_sub(t0.0));
-        if let Some(ev) = self.fault_sched.as_ref().and_then(|fs| fs.next_event(t0)) {
-            l = l.min(ev.saturating_since(t0).saturating_sub(1));
-        }
-        // Injector headroom: the shadow drain is one word per cycle only
-        // while the real drain can't block on a full stage-0 queue. The +1
-        // when the ring starts empty reflects that the first staged packet
-        // reaches the real ring a cycle later.
-        let queue_cap = self.forward.stage_queue_cap();
-        for port in 0..self.cfg.total_ces() {
-            if l <= 1 {
-                break;
-            }
-            let room = (queue_cap - self.forward.stage0_queue_len(port)) as u64
-                + u64::from(self.forward.injector_len(port) == 0);
-            l = l.min(room);
-        }
-        l
     }
 
     fn shared_idle(&self) -> bool {
         self.forward.is_idle() && self.reverse.is_idle() && self.gmem.is_idle()
     }
 
-    /// Direct engine doneness, not the tick-maintained `done_since`
-    /// marker: an engine can finish during a fast-forward skip, between
-    /// shard ticks, which the marker cannot observe.
-    fn all_done(&self, held: &[Held<'_>]) -> bool {
-        held.iter()
-            .all(|sh| sh.engines.iter().flatten().all(CeEngine::is_done))
-            && self.shared_idle()
+    fn all_done(&self) -> bool {
+        self.engines.iter().flatten().all(CeEngine::is_done) && self.shared_idle()
     }
 
     /// One forward-progress inspection.
@@ -982,32 +621,30 @@ impl Machine {
     ///
     /// [`MachineError::Faulted`] when a retry controller exhausted its
     /// budget, [`MachineError::Deadlock`] when the machine cannot finish.
-    fn check_progress(&self, held: &[Held<'_>], watchdog: &mut Watchdog) -> Result<()> {
+    fn check_progress(&self, watchdog: &mut Watchdog) -> Result<()> {
         let deadlock = |kind| {
             Err(MachineError::Deadlock {
-                report: Box::new(self.hang_report(held, kind)),
+                report: Box::new(self.hang_report(kind)),
             })
         };
         watchdog.arm_next(self.now);
         let mut unfinished = 0usize;
         let mut sync_waiting = 0usize;
-        for sh in held {
-            for e in sh.engines.iter().flatten() {
-                // A CE whose retry controller gave up can never become done.
-                if let Some(reason) = e.fault_exhausted() {
-                    return Err(MachineError::Faulted { ce: e.id(), reason });
-                }
-                if !e.is_done() {
-                    unfinished += 1;
-                    if e.sync_blocked() {
-                        sync_waiting += 1;
-                    }
+        for e in self.engines.iter().flatten() {
+            // A CE whose retry controller gave up can never become done.
+            if let Some(reason) = e.fault_exhausted() {
+                return Err(MachineError::Faulted { ce: e.id(), reason });
+            }
+            if !e.is_done() {
+                unfinished += 1;
+                if e.sync_blocked() {
+                    sync_waiting += 1;
                 }
             }
         }
         // No subsystem will ever act again, yet work remains: nothing can
         // change, so nothing will complete.
-        if !self.all_done(held) && self.next_machine_event(held).is_none() {
+        if !self.all_done() && self.next_machine_event().is_none() {
             return deadlock("event starvation");
         }
         // Every unfinished CE sat in a synchronization wait across several
@@ -1026,11 +663,11 @@ impl Machine {
     }
 
     /// Capture the machine state for a [`MachineError::Deadlock`].
-    fn hang_report(&self, held: &[Held<'_>], kind: &str) -> HangReport {
+    fn hang_report(&self, kind: &str) -> HangReport {
         let mut ces = Vec::new();
         let mut barrier_waiters = 0usize;
         let mut pending_retries = 0u64;
-        for e in engine_slots(held).flatten() {
+        for e in self.engines.iter().flatten() {
             pending_retries += e.fault_pending();
             if !e.is_done() {
                 if e.sync_blocked() {
@@ -1053,8 +690,8 @@ impl Machine {
             rev_in_flight: self.reverse.in_flight_packets(),
             module_queues: self.gmem.queue_depths(),
             pending_retries,
-            // Filled in by `run_loop` when several shards ran.
-            chunked: None,
+            // Filled in by `run_loop` when two lanes ran.
+            lanes: None,
         }
     }
 
@@ -1066,7 +703,7 @@ impl Machine {
     /// Conservative by construction: any subsystem unsure of its next
     /// event answers `now + 1`, which suppresses skipping but can never
     /// change results.
-    fn next_machine_event(&self, held: &[Held<'_>]) -> Option<Cycle> {
+    fn next_machine_event(&self) -> Option<Cycle> {
         let now = self.now;
         let soon = now + 1;
         let mut best = min_event(self.forward.next_event(now), self.reverse.next_event(now));
@@ -1083,19 +720,17 @@ impl Machine {
         if best == Some(soon) {
             return best;
         }
-        for sh in held {
-            for cl in &sh.clusters {
-                best = min_event(best, cl.ccbus.next_event(now));
-                if best == Some(soon) {
-                    return best;
-                }
+        for cl in &self.clusters {
+            best = min_event(best, cl.ccbus.next_event(now));
+            if best == Some(soon) {
+                return best;
             }
-            for e in sh.engines.iter().flatten() {
-                let ccbus = &sh.clusters[e.cluster().0 - sh.first_cluster].ccbus;
-                best = min_event(best, e.next_event(now, ccbus, &self.counters));
-                if best == Some(soon) {
-                    return best;
-                }
+        }
+        for e in self.engines.iter().flatten() {
+            let ccbus = &self.clusters[e.cluster().0].ccbus;
+            best = min_event(best, e.next_event(now, ccbus, &self.counters));
+            if best == Some(soon) {
+                return best;
             }
         }
         best
@@ -1108,16 +743,16 @@ impl Machine {
     /// occupancy, prefetch page-wait) and recording utilization-timeline
     /// buckets at their usual boundaries. Every statistic, histogram and
     /// digest stays bit-for-bit identical to the unskipped run.
-    fn try_fast_forward(&mut self, held: &mut [Held<'_>], start: Cycle, limit: u64) {
+    fn try_fast_forward(&mut self, start: Cycle, limit: u64) {
         // Past the cycle limit plus slack, so a run with no future events
         // (a deadlocked barrier) trips CycleLimitExceeded promptly instead
         // of ticking its way there.
         let deadlock_cap = Cycle(start.0.saturating_add(limit).saturating_add(2));
-        let target = match self.next_machine_event(held) {
+        let target = match self.next_machine_event() {
             Some(t) if t > self.now + 1 => t.min(deadlock_cap),
             Some(_) => return,
             None => {
-                if self.all_done(held) {
+                if self.all_done() {
                     return;
                 }
                 deadlock_cap
@@ -1131,17 +766,42 @@ impl Machine {
             let chunk_end = boundary.min(Cycle(target.0 - 1)).max(self.now + 1);
             let k = chunk_end - self.now;
             self.gmem.skip(k);
-            for sh in held.iter_mut() {
-                for e in sh.engines.iter_mut().flatten() {
-                    e.skip(self.now, k);
-                }
+            for e in self.engines.iter_mut().flatten() {
+                e.skip(self.now, k);
             }
             self.fastfwd_skipped += k;
             self.now = chunk_end;
             if self.timeline.due(self.now) {
-                fill_util_samples(held, &mut self.util_scratch);
+                fill_util_samples(&self.engines, &mut self.util_scratch);
                 self.timeline.record(&self.util_scratch);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The whole way up: lane B unwinds in its phase (nothing was lent to
+    /// it), lane A's next hand-off ends instead of hanging, and lane B's
+    /// own panic comes out of the calling thread.
+    #[test]
+    fn a_panic_on_lane_b_is_reraised_on_the_calling_thread() {
+        let link = Link::new(false);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                let mut lane_a = LaneA::start(s, &link);
+                lane_a.meet(0);
+                lane_a.meet(0);
+            });
+        }))
+        .expect_err("lane B's panic must surface");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .expect("a panic message");
+        assert!(message.contains("was not lent"), "{message}");
     }
 }

@@ -3,21 +3,17 @@
 //! section in a fixed order — forward omega, reverse omega, global
 //! memory, per-cluster cache/bus/TLB, fault schedule, CE engines.
 //!
-//! The save side takes the clusters and engines as *iterators*: mid-run
-//! they live inside the run loop's shards, and the auto-checkpoint walks
-//! the shards in order (they partition the clusters contiguously, so the
-//! payload bytes are the same on every shard count). The load side
-//! always runs on a whole, reassembled machine.
+//! Both sides run on a whole machine: the run loop checkpoints between
+//! rounds, when nothing is on loan to its second lane.
 
 use std::path::{Path, PathBuf};
 use std::thread::Scope;
 
 use super::{read_payload, write_snapshot_file, ImageWriter, SnapReader, SnapResult, SnapWriter};
-use crate::ce::CeEngine;
 use crate::error::{MachineError, Result};
 use crate::ids::{CeId, ClusterId};
 use crate::lower::LowerMeta;
-use crate::machine::{Cluster, Machine, Watchdog};
+use crate::machine::{Machine, Watchdog};
 use crate::monitor::Histogrammer;
 use crate::program::Program;
 use crate::sched::{BarrierDef, BarrierScope, CounterDef};
@@ -155,16 +151,8 @@ fn get_barrier(r: &mut SnapReader) -> SnapResult<BarrierDef> {
 
 impl Machine {
     /// Serialize the complete machine (and, mid-run, the run context) as
-    /// a finished image built in `buf`. `clusters` and `engines` must
-    /// yield the machine's clusters and engine slots in id order —
-    /// `cfg.clusters` and `cfg.total_ces()` entries respectively.
-    fn write_image<'a>(
-        &self,
-        buf: Vec<u8>,
-        run: Option<(&CkptCtl, &Watchdog)>,
-        clusters: impl Iterator<Item = &'a Cluster>,
-        engines: impl Iterator<Item = &'a Option<CeEngine>>,
-    ) -> Vec<u8> {
+    /// a finished image built in `buf`.
+    fn write_image(&self, buf: Vec<u8>, run: Option<(&CkptCtl, &Watchdog)>) -> Vec<u8> {
         let cfg = &self.cfg;
         let mut w = SnapWriter::image(buf);
         w.tag(b"MACH");
@@ -211,27 +199,21 @@ impl Machine {
         self.forward.save_state(&mut w);
         self.reverse.save_state(&mut w);
         self.gmem.save_state(&mut w);
-        let mut n_clusters = 0usize;
-        for cl in clusters {
+        for cl in &self.clusters {
             cl.cache.save_state(&mut w);
             cl.ccbus.save_state(&mut w);
             cl.tlb.save_state(&mut w);
-            n_clusters += 1;
         }
-        debug_assert_eq!(n_clusters, cfg.clusters, "cluster iterator mismatch");
         w.opt(self.fault_sched.as_ref(), |w, fs| fs.save_state(w));
+        debug_assert_eq!(self.engines.len(), cfg.total_ces());
         w.usize(cfg.total_ces());
-        let mut n_engines = 0usize;
-        for e in engines {
+        for e in &self.engines {
             w.opt(e.as_ref(), |w, e| e.save_state(w));
-            n_engines += 1;
         }
-        debug_assert_eq!(n_engines, cfg.total_ces(), "engine iterator mismatch");
         w.finish()
     }
 
-    /// Take the run's due checkpoint: serialize the machine — its
-    /// clusters and engines read out of the run loop's shards — into the
+    /// Take the run's due checkpoint: serialize the machine into the
     /// spare image buffer and swap it with the one the writer thread has
     /// finished with.
     ///
@@ -240,15 +222,9 @@ impl Machine {
     /// [`MachineError::Snapshot`] when the *previous* checkpoint's file
     /// write failed (this one's outcome arrives with the next hand-off,
     /// or with [`CkptCtl::finish`]).
-    pub(crate) fn autosave<'a>(
-        &self,
-        ck: &mut CkptCtl,
-        clusters: impl Iterator<Item = &'a Cluster>,
-        engines: impl Iterator<Item = &'a Option<CeEngine>>,
-        watchdog: &Watchdog,
-    ) -> Result<()> {
+    pub(crate) fn autosave(&self, ck: &mut CkptCtl, watchdog: &Watchdog) -> Result<()> {
         let buf = std::mem::take(&mut ck.spare);
-        let image = self.write_image(buf, Some((ck, watchdog)), clusters, engines);
+        let image = self.write_image(buf, Some((ck, watchdog)));
         ck.spare = ck.writer.submit(image)?;
         ck.next = self.now + ck.every;
         Ok(())
@@ -256,7 +232,7 @@ impl Machine {
 
     /// The snapshot image of this machine between runs.
     fn image(&self) -> Vec<u8> {
-        self.write_image(Vec::new(), None, self.clusters.iter(), self.engines.iter())
+        self.write_image(Vec::new(), None)
     }
 
     /// Serialize the complete machine state to `w` as a versioned,

@@ -6,7 +6,7 @@
 //! restorable onto a freshly constructed machine with the same
 //! configuration and programs. The determinism work (bit-identical
 //! results across threads × fast-forward × flow path × lowering × faults
-//! × tracing × chunking) extends to restored runs: a run killed at an
+//! × tracing) extends to restored runs: a run killed at an
 //! arbitrary cycle and resumed from its last checkpoint finishes with the
 //! same fingerprint, memory digest, stats tree and report as the
 //! uninterrupted run. `tests/snapshot.rs` is the proof harness.

@@ -785,8 +785,9 @@ pub fn episodes(journeys: &[Journey]) -> Vec<BarrierEpisode> {
 #[derive(Debug)]
 pub struct HostProfiler {
     regions: Vec<(&'static str, u64, u64)>, // (phase, calls, total_ns)
-    /// Dynamically named rows (one per parallel worker plus run-level
-    /// counters), accumulated by name across runs like the fixed regions.
+    /// Dynamically named rows (one per lane of a two-lane run plus
+    /// run-level counters), accumulated by name across runs like the
+    /// fixed regions.
     extras: Vec<(String, u64, u64)>, // (phase, calls, total_ns)
 }
 
@@ -806,19 +807,17 @@ pub mod region {
     pub const REVERSE: usize = 2;
     /// Forward-network tick (including module-side delivery).
     pub const FORWARD: usize = 3;
-    /// Cluster phase: CC buses + CE engines (per shard in parallel runs).
+    /// Cluster phase: CC buses + CE engines.
     pub const CLUSTER: usize = 4;
-    /// Parallel exchange phase: staged-injection replay + tracer merge.
-    pub const EXCHANGE: usize = 5;
     /// Timeline sampling.
-    pub const TIMELINE: usize = 6;
+    pub const TIMELINE: usize = 5;
     /// Event-horizon fast-forward.
-    pub const FASTFWD: usize = 7;
+    pub const FASTFWD: usize = 6;
     /// Number of regions.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     pub(crate) const NAMES: [&str; COUNT] = [
-        "faults", "gmem", "reverse", "forward", "cluster", "exchange", "timeline", "fastfwd",
+        "faults", "gmem", "reverse", "forward", "cluster", "timeline", "fastfwd",
     ];
 }
 
@@ -840,10 +839,11 @@ impl HostProfiler {
     }
 
     /// Charge `calls`/`total_ns` to a dynamically named row, creating it
-    /// on first use. The parallel engine reports per-worker barrier waits
-    /// (`sync_wait_w0`, `sync_wait_w1`, …) and its exchange count
-    /// (`exchanges`, wall-time-free) through this; repeated runs on one
-    /// machine accumulate, matching the fixed regions.
+    /// on first use. A two-lane run reports each lane's hand-off waits
+    /// (`sync_wait_w0`, `sync_wait_w1`) and its round and early-memory-tick
+    /// counts (`exchanges`, `early_memory_ticks`, wall-time-free) through
+    /// this; repeated runs on one machine accumulate, matching the fixed
+    /// regions.
     pub fn add_named(&mut self, phase: &str, calls: u64, total_ns: u64) {
         match self.extras.iter_mut().find(|(n, _, _)| n == phase) {
             Some(r) => {
@@ -854,13 +854,22 @@ impl HostProfiler {
         }
     }
 
+    /// Add another profiler's regions into this one: a two-lane run times
+    /// each phase on the lane that runs it and merges at the end.
+    pub(crate) fn merge_regions(&mut self, other: &HostProfiler) {
+        for (mine, theirs) in self.regions.iter_mut().zip(&other.regions) {
+            mine.1 += theirs.1;
+            mine.2 += theirs.2;
+        }
+    }
+
     /// `(phase, calls, total_ns)` rows in region order.
     pub fn rows(&self) -> &[(&'static str, u64, u64)] {
         &self.regions
     }
 
     /// Dynamically named `(phase, calls, total_ns)` rows, in first-use
-    /// order (workers first, then run counters, as the engine adds them).
+    /// order (lanes first, then run counters, as the run loop adds them).
     pub fn extra_rows(&self) -> &[(String, u64, u64)] {
         &self.extras
     }
@@ -1078,5 +1087,11 @@ mod tests {
         assert!(w0.contains("\"total_ns\":1000"));
         assert!(w0.contains("\"mean_ns\":250.0"));
         assert_eq!(p.extra_rows().len(), 2);
+
+        // Merging adds region by region.
+        let mut other = HostProfiler::new();
+        other.add(region::GMEM, std::time::Duration::from_nanos(300));
+        p.merge_regions(&other);
+        assert_eq!(p.rows()[region::GMEM], ("gmem", 3, 1500));
     }
 }

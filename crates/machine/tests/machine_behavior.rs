@@ -399,12 +399,10 @@ fn deadlocked_barrier_is_diagnosed_with_a_hang_report() {
     }
 }
 
-/// The watchdog judges the simulated machine, not the host: however many
-/// shards step the clusters, and whether rounds are chunked or per-cycle,
-/// a stuck run stops on the same cycle with the same error, the same
-/// hang report and the same memory state. Every scenario keeps all four
-/// clusters busy, and the CE that trips the verdict lives on a cluster
-/// that a worker thread (not the coordinator) owns at 2 and 4 threads.
+/// The watchdog judges the simulated machine, not the host: on one thread
+/// or on two lanes (which is what 2 and 4 threads both mean), a stuck run
+/// stops on the same cycle with the same error, the same hang report and
+/// the same memory state. Every scenario keeps all four clusters busy.
 #[test]
 fn watchdog_verdict_is_the_same_on_every_shard_count() {
     use cedar_machine::{FaultPlan, ModuleOutage};
@@ -471,10 +469,8 @@ fn watchdog_verdict_is_the_same_on_every_shard_count() {
         }),
     ];
     for (name, plan, build, limit, expect) in scenarios {
-        let run = |threads: usize, chunk: usize| {
-            let mut cfg = MachineConfig::cedar()
-                .with_threads(threads)
-                .with_chunk_cycles(chunk);
+        let run = |threads: usize| {
+            let mut cfg = MachineConfig::cedar().with_threads(threads);
             if let Some(plan) = &plan {
                 cfg = cfg.with_faults(plan.clone());
             }
@@ -484,23 +480,17 @@ fn watchdog_verdict_is_the_same_on_every_shard_count() {
             if let MachineError::Deadlock { report } = &mut err {
                 assert_eq!(report.at_cycle, m.now().0);
                 assert_eq!(
-                    report.chunked.take().is_some(),
+                    report.lanes.take().is_some(),
                     threads > 1,
-                    "{name}: chunked context at {threads} thread(s)"
+                    "{name}: lane context at {threads} thread(s)"
                 );
             }
             (err, m.now(), m.memory_digest())
         };
-        let base = run(1, 0);
+        let base = run(1);
         assert!(expect(&base.0), "{name}: unexpected verdict {:?}", base.0);
         for threads in [1usize, 2, 4] {
-            for chunk in [0usize, 1] {
-                assert_eq!(
-                    run(threads, chunk),
-                    base,
-                    "{name}: {threads} thread(s), chunk_cycles={chunk}"
-                );
-            }
+            assert_eq!(run(threads), base, "{name}: {threads} thread(s)");
         }
     }
 }

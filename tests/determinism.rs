@@ -1,6 +1,6 @@
-//! Determinism / equivalence tests for the parallel execution engine.
+//! Determinism / equivalence tests for two-lane execution.
 //!
-//! The multi-threaded engine (`MachineConfig::num_threads > 1`) promises
+//! The two-lane run loop (`MachineConfig::num_threads > 1`) promises
 //! bit-for-bit equivalence with the single-threaded simulator: identical
 //! cycle counts, identical final memory state, and an identical
 //! stats-counter tree, whatever the thread count. These tests pin that
@@ -93,7 +93,23 @@ fn assert_equivalent(label: &str, threads: usize, base: &Fingerprint, got: &Fing
 }
 
 fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -> Fingerprint {
-    let cfg = with_env_knobs(MachineConfig::cedar_with_clusters(clusters).with_threads(threads));
+    run_rank64_fastfwd(clusters, threads, true, version, n)
+}
+
+/// Like [`run_rank64`] with fast-forward pinned through the config
+/// builder.
+fn run_rank64_fastfwd(
+    clusters: usize,
+    threads: usize,
+    fastfwd: bool,
+    version: Rank64Version,
+    n: u32,
+) -> Fingerprint {
+    let cfg = with_env_knobs(
+        MachineConfig::cedar_with_clusters(clusters)
+            .with_threads(threads)
+            .with_fast_forward(fastfwd),
+    );
     let mut m = Machine::new(cfg).unwrap();
     let kern = Rank64 { n, k: 64, version };
     let progs = kern.build(&mut m, clusters);
@@ -105,74 +121,18 @@ fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -
     }
 }
 
-/// Like [`run_rank64`] with the lookahead-chunk length and fast-forward
-/// pinned through the config builder.
-fn run_rank64_chunked(
-    threads: usize,
-    chunk: usize,
-    fastfwd: bool,
-    version: Rank64Version,
-    n: u32,
-) -> Fingerprint {
-    let cfg = with_env_knobs(
-        MachineConfig::cedar_with_clusters(4)
-            .with_threads(threads)
-            .with_chunk_cycles(chunk)
-            .with_fast_forward(fastfwd),
-    );
-    let mut m = Machine::new(cfg).unwrap();
-    let kern = Rank64 { n, k: 64, version };
-    let progs = kern.build(&mut m, 4);
-    let r = m.run(progs, 1_000_000_000).unwrap();
-    Fingerprint {
-        cycles: r.cycles,
-        memory: m.memory_digest(),
-        stats: r.stats,
-    }
-}
-
-/// The lookahead-chunking guarantee: every chunk length — the per-cycle
-/// hatch (1), a mid-range cap (4), the automatic bound (0, which
-/// resolves to `service_cycles + 4` = 6 on a quiet Cedar), and an
-/// oversized cap the lookahead must clamp (64) — produces the serial
-/// fingerprint at every thread count, fast-forward on or off.
+/// Fast-forward decides between rounds, where an early memory tick must
+/// never have been taken when it skips: with it on or off, every thread
+/// count produces the one-thread fingerprint.
 #[test]
-fn chunk_lengths_are_deterministic() {
+fn fast_forward_on_and_off_is_deterministic_across_thread_counts() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
     for fastfwd in [true, false] {
-        let base = run_rank64_chunked(1, 0, fastfwd, version, 64);
+        let base = run_rank64_fastfwd(4, 1, fastfwd, version, 64);
         assert!(base.cycles > 0);
-        for chunk in [1usize, 4, 0, 64] {
-            for threads in [2usize, 4, 8] {
-                let got = run_rank64_chunked(threads, chunk, fastfwd, version, 64);
-                assert_equivalent(
-                    &format!("rank64 chunk={chunk} fastfwd={fastfwd}"),
-                    threads,
-                    &base,
-                    &got,
-                );
-            }
-        }
-    }
-}
-
-/// The cache version keeps the network busier (misses and write-backs
-/// rather than regular prefetch bursts), so its chunk schedule collapses
-/// to one cycle far more often — a different interleaving of the chunked
-/// and per-cycle paths that must still be invisible.
-#[test]
-fn chunking_is_deterministic_under_cache_traffic() {
-    let version = Rank64Version::GmCache;
-    let base = run_rank64_chunked(1, 0, true, version, 64);
-    for chunk in [0usize, 4] {
-        for threads in [2usize, 4] {
-            let got = run_rank64_chunked(threads, chunk, true, version, 64);
-            assert_equivalent(
-                &format!("rank64 gm-cache chunk={chunk}"),
-                threads,
-                &base,
-                &got,
-            );
+        for threads in [2usize, 4, 8] {
+            let got = run_rank64_fastfwd(4, threads, fastfwd, version, 64);
+            assert_equivalent(&format!("rank64 fastfwd={fastfwd}"), threads, &base, &got);
         }
     }
 }
@@ -191,9 +151,8 @@ fn rank64_is_deterministic_across_thread_counts() {
 }
 
 /// Every Table 1 row (memory version × cluster count, at test scale)
-/// produces the same fingerprint under the parallel engine, including
-/// thread counts that split the clusters unevenly (3 threads over 4
-/// clusters → shards of 2/1/1).
+/// produces the same fingerprint on two lanes, whatever thread count
+/// asked for them.
 #[test]
 fn table1_rows_are_deterministic() {
     for version in [
@@ -208,16 +167,15 @@ fn table1_rows_are_deterministic() {
             assert_equivalent(&label, threads, &base, &got);
         }
     }
-    // A partial machine with an uneven shard split: 3 clusters over 2
-    // threads (shards of 2/1).
+    // A partial machine.
     let version = Rank64Version::GmCache;
     let base = run_rank64(3, 1, version, 64);
     let got = run_rank64(3, 2, version, 64);
     assert_equivalent("table1 GmCache x3 clusters", 2, &base, &got);
 }
 
-/// Thread counts beyond the cluster count are capped, not an error: an
-/// 8-thread request on a 4-cluster machine behaves like 4 threads.
+/// Thread counts beyond the two lanes are capped, not an error: an
+/// 8-thread request behaves like 2 threads.
 #[test]
 fn excess_threads_are_capped_at_the_cluster_count() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };

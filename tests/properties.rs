@@ -706,34 +706,32 @@ proptest! {
         }
     }
 
-    /// Lookahead-chunked partitioned execution is bit-identical to the
-    /// serial engine on arbitrary generated traffic — sync ops,
-    /// gathers/scatters, prefetch bursts, shared self-scheduling
-    /// counters, a global barrier — at every chunk length: the
-    /// automatic horizon (0), the per-cycle hatch (1), a mid-range cap
-    /// (4) and an oversized one the lookahead must clamp (64).
+    /// Two-lane execution is bit-identical to the one-thread engine on
+    /// arbitrary generated traffic — sync ops, gathers/scatters, prefetch
+    /// bursts, shared self-scheduling counters, a global barrier — with
+    /// fast-forward on (rounds that skip cycles refuse the early memory
+    /// tick) and off (every quiet cycle is a round lane B sits out).
     #[test]
-    fn chunked_execution_is_bit_identical_to_serial(
+    fn two_lane_execution_is_bit_identical_to_serial(
         seed in 0u64..100_000,
-        chunk in prop::sample::select(vec![0usize, 1, 4, 64]),
+        fastfwd in any::<bool>(),
     ) {
-        let (base_cycles, base_digest, base_stats, _) =
-            run_random_programs(seed, true, 1);
         let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
-            .with_threads(2)
             .with_lowered(true)
-            .with_chunk_cycles(chunk);
-        let (cycles, digest, stats, _) = run_random_programs_on(seed, cfg);
-        prop_assert_eq!(base_cycles, cycles, "cycle count drifted at chunk={}", chunk);
-        prop_assert_eq!(base_digest, digest, "memory digest drifted at chunk={}", chunk);
+            .with_fast_forward(fastfwd);
+        let (base_cycles, base_digest, base_stats, _) =
+            run_random_programs_on(seed, cfg.clone());
+        let (cycles, digest, stats, _) = run_random_programs_on(seed, cfg.with_threads(2));
+        prop_assert_eq!(base_cycles, cycles, "cycle count drifted, fastfwd={}", fastfwd);
+        prop_assert_eq!(base_digest, digest, "memory digest drifted, fastfwd={}", fastfwd);
         if base_stats != stats {
             let diff: Vec<String> = base_stats
                 .lines()
                 .zip(stats.lines())
                 .filter(|(a, b)| a != b)
-                .map(|(a, b)| format!("  serial:  {a}\n  chunked: {b}"))
+                .map(|(a, b)| format!("  one thread: {a}\n  two lanes:  {b}"))
                 .collect();
-            prop_assert!(false, "stats drifted at chunk={}:\n{}", chunk, diff.join("\n"));
+            prop_assert!(false, "stats drifted, fastfwd={}:\n{}", fastfwd, diff.join("\n"));
         }
     }
 }

@@ -9,11 +9,11 @@
 //!   thread nor carries on unprotected.
 //!
 //! * A machine stopped on a given cycle serializes to the same bytes
-//!   whatever the shard count and chunk length it got there with, and
-//!   to the same bytes every time it is asked.
+//!   whatever the thread count it got there with, and to the same bytes
+//!   every time it is asked.
 //!
-//! At one shard and at several: the writer thread shares the run loop's
-//! `thread::scope` with the shard workers.
+//! On one thread and on two lanes: the writer thread shares the run
+//! loop's `thread::scope` with the second lane.
 
 use std::path::{Path, PathBuf};
 
@@ -191,12 +191,11 @@ fn a_checkpoint_directory_lost_mid_run_fails_the_run() {
 
 #[test]
 fn a_stopped_machine_images_identically_on_every_shard_count() {
-    // The budget clamps lookahead chunks, so every engine shape stops on
-    // the same cycle; from there the bytes must agree too.
-    let stopped_image = |threads: usize, chunk: usize| {
-        let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_threads(threads)
-            .with_chunk_cycles(chunk);
+    // An exhausted budget refuses the early memory tick, so every thread
+    // count stops on the same cycle in the same state; from there the
+    // bytes must agree too.
+    let stopped_image = |threads: usize| {
+        let cfg = MachineConfig::cedar_with_clusters(4).with_threads(threads);
         let mut m = Machine::new(cfg).unwrap();
         let progs = Rank64 {
             n: 64,
@@ -215,13 +214,13 @@ fn a_stopped_machine_images_identically_on_every_shard_count() {
         assert!(image == again, "two images of one unchanged machine differ");
         (m.now(), image)
     };
-    let serial = stopped_image(1, 0);
-    for (threads, chunk) in [(2, 0), (2, 4), (4, 0), (4, 1), (4, 4), (4, 64)] {
-        let sharded = stopped_image(threads, chunk);
-        assert_eq!(sharded.0, serial.0, "threads {threads}, chunk {chunk}");
+    let serial = stopped_image(1);
+    for threads in [2, 4] {
+        let two_lane = stopped_image(threads);
+        assert_eq!(two_lane.0, serial.0, "threads {threads}");
         assert!(
-            sharded.1 == serial.1,
-            "threads {threads}, chunk {chunk}: image differs from the one-shard image"
+            two_lane.1 == serial.1,
+            "threads {threads}: image differs from the one-thread image"
         );
     }
 }
