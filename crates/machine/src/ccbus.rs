@@ -12,11 +12,50 @@
 //! times (e.g. inside a timestep loop) uses a fresh logical counter each
 //! entry, exactly as the runtime library allocates fresh control blocks,
 //! so no reset protocol is needed.
+//!
+//! A barrier is a few-cycle hardware event, so its bookkeeping is kept
+//! to match: a CE waits at one barrier at a time, so every parked CE of
+//! the cluster fits one arrival-ordered waiter buffer, allocated once
+//! with room for the whole cluster and reused by every episode. Counter
+//! values and SDOALL state stay keyed by `(slot, epoch)`, under an Fx
+//! hash rather than SipHash.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::CcBusConfig;
 use crate::time::Cycle;
+
+/// The Fx multiply-rotate hash: a few integer operations per word. The
+/// bus's keys are the simulator's own small integers, so the flooding
+/// resistance `RandomState` pays SipHash for buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// State keyed by `(slot or counter id, epoch)`.
+type EpochMap<V> = HashMap<(usize, u64), V, BuildHasherDefault<FxHasher>>;
 
 /// One pending counter-dispatch transaction.
 #[derive(Debug, Clone, Copy)]
@@ -28,12 +67,13 @@ struct CounterReq {
     limit: u64,
 }
 
-#[derive(Debug, Default)]
-struct BarrierWait {
-    arrived: u32,
-    /// Each waiting CE with the cycle it arrived, so the release can
-    /// account the wait time.
-    waiting: Vec<(usize, Cycle)>,
+/// A CE parked at the cluster barrier episode `(slot, epoch)`, with the
+/// cycle it arrived (so the release can account the wait time).
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    episode: (usize, u64),
+    ce: usize,
+    since: Cycle,
 }
 
 /// Result of asking the bus for the cluster's next SDOALL value.
@@ -84,17 +124,35 @@ pub struct CcBus {
     next_free: Cycle,
     pending: VecDeque<CounterReq>,
     /// `(slot, epoch)` → counter value.
-    values: HashMap<(usize, u64), u64>,
+    values: EpochMap<u64>,
     /// Per-CE granted old counter value.
     grants: Vec<Option<u64>>,
-    /// `(barrier slot, epoch)` → arrival state.
-    barriers: HashMap<(usize, u64), BarrierWait>,
+    /// Every CE parked at a cluster barrier, in arrival order. Episodes
+    /// of any slot and epoch share it; more than one episode of a slot
+    /// is live when a barrier expects fewer arrivals than it has users.
+    waiters: Vec<Waiter>,
     /// `(sdoall counter id, epoch)` → shared-value state.
-    sdoall: HashMap<(usize, u64), SdoallState>,
+    sdoall: EpochMap<SdoallState>,
     /// Per-CE barrier release time.
     releases: Vec<Option<Cycle>>,
+    /// Grants and releases posted but not yet taken.
+    posted: usize,
     n_counters: usize,
     stats: CcBusStats,
+}
+
+/// Post `v` into a per-CE flag, counting it into `posted` unless the flag
+/// was already up.
+fn post<T>(flag: &mut Option<T>, v: T, posted: &mut usize) {
+    *posted += usize::from(flag.is_none());
+    *flag = Some(v);
+}
+
+/// Take a per-CE flag down, uncounting it from `posted`.
+fn take<T>(flag: &mut Option<T>, posted: &mut usize) -> Option<T> {
+    let v = flag.take();
+    *posted -= usize::from(v.is_some());
+    v
 }
 
 impl CcBus {
@@ -106,11 +164,12 @@ impl CcBus {
             start_cycles: cfg.start_cycles,
             next_free: Cycle::ZERO,
             pending: VecDeque::new(),
-            values: HashMap::new(),
+            values: EpochMap::default(),
             grants: vec![None; ces],
-            barriers: HashMap::new(),
-            sdoall: HashMap::new(),
+            waiters: Vec::with_capacity(ces),
+            sdoall: EpochMap::default(),
             releases: vec![None; ces],
+            posted: 0,
             n_counters: 0,
             stats: CcBusStats::default(),
         }
@@ -143,7 +202,7 @@ impl CcBus {
 
     /// Take a granted counter value for `ce`, if one arrived.
     pub fn take_grant(&mut self, ce: usize) -> Option<u64> {
-        self.grants[ce].take()
+        take(&mut self.grants[ce], &mut self.posted)
     }
 
     /// Arrive at cluster barrier `(slot, epoch)` expecting `expected`
@@ -157,25 +216,31 @@ impl CcBus {
         epoch: u64,
         expected: u32,
     ) {
-        let w = self.barriers.entry((slot, epoch)).or_default();
-        w.arrived += 1;
-        w.waiting.push((ce, now));
+        let episode = (slot, epoch);
+        self.waiters.push(Waiter {
+            episode,
+            ce,
+            since: now,
+        });
         self.stats.barrier_arrivals += 1;
-        if w.arrived >= expected {
+        let arrived = self.waiters.iter().filter(|w| w.episode == episode).count();
+        if arrived as u64 >= u64::from(expected) {
             let release_at = now + u64::from(self.join_cycles);
-            let waiting = std::mem::take(&mut w.waiting);
-            self.barriers.remove(&(slot, epoch));
-            for (ce, arrived_at) in waiting {
-                self.stats.barrier_wait_cycles += release_at.saturating_since(arrived_at);
-                self.releases[ce] = Some(release_at);
-            }
+            self.waiters.retain(|w| {
+                if w.episode != episode {
+                    return true;
+                }
+                self.stats.barrier_wait_cycles += release_at.saturating_since(w.since);
+                post(&mut self.releases[w.ce], release_at, &mut self.posted);
+                false
+            });
             self.stats.barrier_releases += 1;
         }
     }
 
     /// Take `ce`'s barrier release time, if released.
     pub fn take_release(&mut self, ce: usize) -> Option<Cycle> {
-        self.releases[ce].take()
+        take(&mut self.releases[ce], &mut self.posted)
     }
 
     /// True when a granted counter value is waiting for `ce` (a
@@ -190,26 +255,14 @@ impl CcBus {
         self.releases[ce].is_some()
     }
 
-    /// True when [`CcBus::sdoall_take`] would return something other than
-    /// [`SdoallTake::Wait`] for this CE — i.e. the CE would make progress
-    /// on its next attempt.
-    pub(crate) fn sdoall_can_take(&self, ce: usize, id: usize, epoch: u64) -> bool {
-        match self.sdoall.get(&(id, epoch)) {
-            // No state yet: the first take creates it and is elected to
-            // fetch.
-            None => true,
-            Some(st) => {
-                st.cursor.get(ce).copied().unwrap_or(0) < st.values.len() || !st.fetch_in_flight
-            }
-        }
-    }
-
-    /// The earliest future cycle at which the bus can change externally
-    /// visible state: the next dispatch grant, or `None` with nothing
-    /// queued. Already-posted grants/releases are the *engines'* events —
-    /// the bus itself has nothing left to do for them.
+    /// The earliest future cycle at which the bus or a CE on it can
+    /// change externally visible state: the next cycle while a posted
+    /// grant or release waits to be taken (its CE sleeps until then), else
+    /// the next dispatch grant, or `None` with nothing queued.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.pending.is_empty() {
+        if self.posted > 0 {
+            Some(now + 1)
+        } else if self.pending.is_empty() {
             None
         } else {
             Some(self.next_free.max(now + 1))
@@ -217,18 +270,23 @@ impl CcBus {
     }
 
     /// Advance one cycle: grant at most one dispatch per
-    /// `dispatch_cycles`.
+    /// `dispatch_cycles`. (The idle check inlines into the cluster
+    /// phase, which ticks every bus every cycle.)
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
-        if self.pending.is_empty() || now < self.next_free {
-            return;
+        if !self.pending.is_empty() && now >= self.next_free {
+            self.grant(now);
         }
+    }
+
+    fn grant(&mut self, now: Cycle) {
         if let Some(req) = self.pending.pop_front() {
             let v = self.values.entry((req.slot, req.epoch)).or_insert(0);
             let old = *v;
             if old < req.limit {
                 *v = old + u64::from(req.chunk);
             }
-            self.grants[req.ce] = Some(old);
+            post(&mut self.grants[req.ce], old, &mut self.posted);
             self.stats.dispatches += 1;
             self.next_free = now + u64::from(self.dispatch_cycles);
         }
@@ -270,10 +328,10 @@ impl CcBus {
         self.stats.sdoall_posts += 1;
     }
 
-    /// Serialize the bus. Hash-keyed maps (counter values, barrier
-    /// arrival states, SDOALL states) are written in sorted key order so
-    /// the snapshot bytes are deterministic; the pending dispatch queue
-    /// keeps its FIFO order.
+    /// Serialize the bus. Counter values, barrier episodes and SDOALL
+    /// states are written in sorted `(slot, epoch)` order so the snapshot
+    /// bytes are deterministic; an episode's waiters and the pending
+    /// dispatch queue keep their arrival order.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         use crate::snapshot::SnapWriter;
         w.tag(b"CBUS");
@@ -285,7 +343,7 @@ impl CcBus {
             w.u32(req.chunk);
             w.u64(req.limit);
         });
-        fn sorted_keys<V>(m: &HashMap<(usize, u64), V>) -> Vec<(usize, u64)> {
+        fn sorted_keys<V>(m: &EpochMap<V>) -> Vec<(usize, u64)> {
             let mut keys: Vec<(usize, u64)> = m.keys().copied().collect();
             keys.sort_unstable();
             keys
@@ -301,14 +359,18 @@ impl CcBus {
         w.seq(self.grants.iter(), |w, g| {
             w.opt(g.as_ref(), |w, v| w.u64(*v));
         });
-        w.seq(sorted_keys(&self.barriers).iter(), |w, k| {
+        let mut episodes: Vec<(usize, u64)> = self.waiters.iter().map(|x| x.episode).collect();
+        episodes.sort_unstable();
+        episodes.dedup();
+        w.seq(episodes.iter(), |w, k| {
             put_key(w, k);
-            let b = &self.barriers[k];
-            w.u32(b.arrived);
-            w.seq(b.waiting.iter(), |w, (ce, at)| {
-                w.usize(*ce);
-                w.cycle(*at);
-            });
+            let arrived = self.waiters.iter().filter(|x| x.episode == *k).count();
+            w.u32(arrived as u32);
+            w.usize(arrived);
+            for x in self.waiters.iter().filter(|x| x.episode == *k) {
+                w.usize(x.ce);
+                w.cycle(x.since);
+            }
         });
         w.seq(sorted_keys(&self.sdoall).iter(), |w, k| {
             put_key(w, k);
@@ -362,15 +424,23 @@ impl CcBus {
             self.grants[i] = r.opt(|r| r.u64())?;
             Ok(())
         })?;
-        self.barriers = r
-            .seq(|r| {
-                let k = key(r)?;
-                let arrived = r.u32()?;
-                let waiting = r.seq(|r| Ok((r.usize()?, r.cycle()?)))?;
-                Ok((k, BarrierWait { arrived, waiting }))
-            })?
-            .into_iter()
-            .collect();
+        self.waiters.clear();
+        for _ in 0..r.len()? {
+            let episode = key(r)?;
+            let arrived = r.u32()?;
+            let n = r.len()?;
+            if n != arrived as usize {
+                return Err(r.err_mismatch("barrier arrival count disagrees with its waiters"));
+            }
+            for _ in 0..n {
+                let ce = r.usize()?;
+                if ce >= ces {
+                    return Err(r.err_mismatch("barrier waiter beyond the cluster's CEs"));
+                }
+                let since = r.cycle()?;
+                self.waiters.push(Waiter { episode, ce, since });
+            }
+        }
         self.sdoall = r
             .seq(|r| {
                 let k = key(r)?;
@@ -392,6 +462,8 @@ impl CcBus {
             self.releases[i] = r.opt(|r| r.cycle())?;
             Ok(())
         })?;
+        self.posted = self.grants.iter().filter(|g| g.is_some()).count()
+            + self.releases.iter().filter(|r| r.is_some()).count();
         self.n_counters = r.usize()?;
         self.stats = CcBusStats {
             dispatches: r.u64()?,
@@ -408,10 +480,11 @@ impl CcBus {
     pub fn reset(&mut self) {
         self.pending.clear();
         self.values.clear();
-        self.barriers.clear();
+        self.waiters.clear();
         self.sdoall.clear();
         self.grants.iter_mut().for_each(|g| *g = None);
         self.releases.iter_mut().for_each(|r| *r = None);
+        self.posted = 0;
         self.next_free = Cycle::ZERO;
     }
 
@@ -424,9 +497,16 @@ impl CcBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{SnapReader, SnapWriter};
 
     fn bus() -> CcBus {
         CcBus::new(&CcBusConfig::cedar(), 8)
+    }
+
+    fn save(b: &CcBus) -> Vec<u8> {
+        let mut w = SnapWriter::fragment();
+        b.save_state(&mut w);
+        w.into_fragment()
     }
 
     #[test]
@@ -508,6 +588,119 @@ mod tests {
         assert_eq!(b.take_release(1), None);
     }
 
+    /// A barrier expecting fewer arrivals than it has users keeps two
+    /// episodes of one slot live at once; each releases exactly its own
+    /// waiters, and the later-completing one leaves the other parked.
+    #[test]
+    fn two_live_epochs_on_one_slot_release_independently() {
+        let mut b = bus();
+        b.arrive_barrier(Cycle(1), 0, 3, 0, 2);
+        b.arrive_barrier(Cycle(2), 1, 3, 1, 2);
+        b.arrive_barrier(Cycle(3), 5, 4, 1, 2); // same epoch, other slot
+        b.arrive_barrier(Cycle(4), 2, 3, 1, 2);
+        assert_eq!(b.take_release(0), None, "epoch 0 is still one short");
+        assert_eq!(b.take_release(1), Some(Cycle(8)));
+        assert_eq!(b.take_release(2), Some(Cycle(8)));
+        assert_eq!(b.take_release(5), None, "slot 4 is its own barrier");
+        b.arrive_barrier(Cycle(10), 3, 3, 0, 2);
+        assert_eq!(b.take_release(0), Some(Cycle(14)));
+        assert_eq!(b.take_release(3), Some(Cycle(14)));
+        assert_eq!(b.stats().barrier_releases, 2);
+        // (8-2) + (8-4) + (14-1) + (14-10)
+        assert_eq!(b.stats().barrier_wait_cycles, 27);
+        assert_eq!(b.next_event(Cycle(20)), None, "every release was taken");
+    }
+
+    /// A thousand full-cluster episodes run through the waiter buffer
+    /// the bus was built with: it never grows, and it is empty between
+    /// episodes.
+    #[test]
+    fn waiter_buffer_is_reused_across_episodes() {
+        let mut b = bus();
+        let buffer = (b.waiters.as_ptr(), b.waiters.capacity());
+        let mut now = Cycle(0);
+        for epoch in 0..1_000u64 {
+            for ce in 0..8 {
+                now += 1;
+                b.arrive_barrier(now, ce, 0, epoch, 8);
+            }
+            assert!(b.waiters.is_empty(), "episode {epoch} left waiters behind");
+            for ce in 0..8 {
+                assert_eq!(b.take_release(ce), Some(now + 4));
+            }
+        }
+        assert_eq!((b.waiters.as_ptr(), b.waiters.capacity()), buffer);
+        assert_eq!(b.stats().barrier_releases, 1_000);
+        assert_eq!(b.posted, 0);
+    }
+
+    /// Posted grants and releases are next-cycle events until taken; the
+    /// queue alone reports its next dispatch slot.
+    #[test]
+    fn posted_flags_are_next_cycle_events() {
+        let mut b = bus();
+        let slot = b.alloc_counter();
+        assert_eq!(b.next_event(Cycle(0)), None);
+        b.request_counter(0, slot, 0, 1, 10);
+        b.request_counter(1, slot, 0, 1, 10);
+        b.tick(Cycle(0));
+        assert_eq!(
+            b.next_event(Cycle(0)),
+            Some(Cycle(1)),
+            "grant to CE 0 posted"
+        );
+        b.take_grant(0);
+        assert_eq!(b.next_event(Cycle(0)), Some(Cycle(2)), "next dispatch slot");
+        b.tick(Cycle(2));
+        b.take_grant(1);
+        b.arrive_barrier(Cycle(3), 4, 0, 0, 1);
+        assert_eq!(
+            b.next_event(Cycle(3)),
+            Some(Cycle(4)),
+            "release to CE 4 posted"
+        );
+        b.take_release(4);
+        assert_eq!(b.next_event(Cycle(3)), None);
+    }
+
+    /// Save → load → save is byte-equal with live episodes (two of them
+    /// on one slot), granted-but-untaken values, queued dispatches,
+    /// posted releases and SDOALL state, and the restored bus carries on
+    /// exactly like the original.
+    #[test]
+    fn save_load_save_is_byte_equal_with_live_state() {
+        let mut b = bus();
+        let slot = b.alloc_counter();
+        b.request_counter(2, slot, 0, 1, 10);
+        b.request_counter(3, slot, 0, 1, 10);
+        b.request_counter(4, slot, 1, 2, 10);
+        b.tick(Cycle(0)); // grants CE 2; two requests stay queued
+        b.arrive_barrier(Cycle(1), 0, 0, 1, 3);
+        b.arrive_barrier(Cycle(2), 1, 0, 0, 3);
+        b.arrive_barrier(Cycle(3), 5, 0, 1, 3);
+        b.arrive_barrier(Cycle(4), 6, 1, 0, 1); // released at once
+        assert_eq!(b.sdoall_take(7, 0, 0, 8), SdoallTake::Fetch);
+        b.sdoall_post(0, 0, 42);
+        assert_eq!(b.sdoall_take(7, 0, 0, 8), SdoallTake::Ready(42));
+        let image = save(&b);
+
+        let mut c = bus();
+        c.alloc_counter();
+        c.load_state(&mut SnapReader::new(&image)).unwrap();
+        assert_eq!(save(&c), image);
+        assert_eq!(c.next_event(Cycle(4)), b.next_event(Cycle(4)));
+
+        for bus in [&mut b, &mut c] {
+            assert_eq!(bus.take_grant(2), Some(0));
+            assert_eq!(bus.take_release(6), Some(Cycle(8)));
+            bus.arrive_barrier(Cycle(9), 7, 0, 1, 3);
+            bus.tick(Cycle(10));
+        }
+        assert_eq!(save(&c), save(&b));
+        assert_eq!(c.take_release(0), Some(Cycle(13)));
+        assert_eq!(c.take_release(1), None, "epoch 0 still waits");
+    }
+
     #[test]
     fn reset_clears_state() {
         let mut b = bus();
@@ -516,6 +709,7 @@ mod tests {
         b.tick(Cycle(0));
         b.reset();
         assert_eq!(b.take_grant(0), None);
+        assert_eq!(b.next_event(Cycle(0)), None);
         b.request_counter(0, slot, 0, 1, 10);
         b.tick(Cycle(0));
         assert_eq!(b.take_grant(0), Some(0));

@@ -204,11 +204,12 @@ pub struct CeEngine {
     frames: Vec<Frame>,
     /// Lowered-execution state (`None`: tree-walking interpreter).
     flat: Option<FlatCtl>,
-    /// Lowered-mode quiescent horizon: strictly before this cycle a full
-    /// [`CeEngine::tick`] is known to reduce to exactly one attribution
-    /// increment, so the run loop may take the quick-tick path. Replies
-    /// clear it ([`CeEngine::receive`]); every full tick recomputes it.
-    quiet_until: Cycle,
+    /// The wake cycle: strictly before it a full [`CeEngine::tick`] does
+    /// nothing but credit one cycle of attribution. Every full tick
+    /// recomputes it ([`CeEngine::wake_after`]) and replies clear it
+    /// ([`CeEngine::receive`]); the lowered engine quick-ticks before it,
+    /// and fast-forward jumps no further than the machine's earliest one.
+    wake: Cycle,
     indices: Vec<u64>,
     state: CeState,
     pfu: Pfu,
@@ -304,7 +305,7 @@ impl CeEngine {
                 frames: Vec::new(),
                 fire_pending: false,
             }),
-            quiet_until: Cycle::ZERO,
+            wake: Cycle::ZERO,
             indices: Vec::new(),
             state: CeState::Fetch,
             pfu,
@@ -417,12 +418,18 @@ impl CeEngine {
         s
     }
 
+    /// The engine's wake cycle ([`Cycle::NEVER`] while it sleeps until a
+    /// reply lands or a CC-bus grant or release is posted for it).
+    pub(crate) fn wake(&self) -> Cycle {
+        self.wake
+    }
+
     /// Handle a reply arriving from the reverse network.
     pub fn receive(&mut self, now: Cycle, reply: MemReply) {
-        // Replies are the only external push into a CE (bus grants are
-        // pulled): any arrival may invalidate the quiescent horizon, so
-        // drop it and let the next full tick recompute.
-        self.quiet_until = Cycle::ZERO;
+        // Replies are the only external push into a CE (bus grants and
+        // releases are pulled): any arrival may end the sleep, so clear
+        // the wake cycle and let the next full tick recompute it.
+        self.wake = Cycle::ZERO;
         if let Some(ctl) = self.fault_ctl.as_deref_mut() {
             if reply.seq != 0 {
                 match ctl.on_reply(now, &reply) {
@@ -461,139 +468,10 @@ impl CeEngine {
         }
     }
 
-    /// The earliest future cycle at which this engine can change
-    /// externally visible state, or `None` when it is waiting on something
-    /// another subsystem must deliver (a network reply, a bus grant). The
-    /// answer may be conservative — an earlier cycle than strictly needed
-    /// only suppresses fast-forwarding, never changes behaviour — but must
-    /// never be later than the first cycle at which [`CeEngine::tick`]
-    /// would do anything beyond its fixed stall-attribution increments.
-    pub(crate) fn next_event(
-        &self,
-        now: Cycle,
-        ccbus: &CcBus,
-        counters: &[CounterDef],
-    ) -> Option<Cycle> {
-        let soon = now + 1;
-        if self.pending_pkt.is_some() {
-            return Some(soon); // retries injection every cycle
-        }
-        let fault_ev = self.fault_ctl.as_deref().and_then(|c| c.next_event(now));
-        if matches!(self.state, CeState::Done) {
-            // Only idle cycles remain — except retries still draining.
-            return fault_ev;
-        }
-        let pfu_ev = self.pfu.next_event(now);
-        if pfu_ev == Some(soon) {
-            return pfu_ev;
-        }
-        if now < self.vm_stall_until {
-            return min_event(fault_ev, min_event(pfu_ev, Some(self.vm_stall_until)));
-        }
-        let state_ev = match &self.state {
-            CeState::Done => None,
-            CeState::Fetch => Some(soon),
-            CeState::Stall { until } => Some((*until).max(soon)),
-            CeState::VectorDirect {
-                length,
-                issued,
-                start_at,
-                ..
-            } => {
-                let drain = self.direct_ready.front().map(|&at| at.max(soon));
-                let issue = (*issued < *length
-                    && self.outstanding_reads < self.cfg.max_outstanding_global)
-                    .then(|| (*start_at).max(soon));
-                min_event(drain, issue)
-            }
-            CeState::VectorPref {
-                length,
-                consumed,
-                start_at,
-            } => {
-                if now < *start_at {
-                    Some((*start_at).max(soon))
-                } else if *consumed >= *length || self.pfu.can_consume() {
-                    Some(soon)
-                } else {
-                    None // waiting for prefetched words to return
-                }
-            }
-            CeState::VectorGWrite {
-                length,
-                issued,
-                start_at,
-                ..
-            } => {
-                if *issued >= *length {
-                    Some(soon)
-                } else {
-                    Some((*start_at).max(soon))
-                }
-            }
-            CeState::VectorCache {
-                write,
-                length,
-                issued,
-                last_ready,
-                ..
-            } => {
-                if *issued < *length {
-                    Some(soon) // contends for cache banks every cycle
-                } else if !*write && now < *last_ready {
-                    Some((*last_ready).max(soon))
-                } else {
-                    Some(soon)
-                }
-            }
-            CeState::AwaitScalarRead => self.scalar_ready.map(|at| at.max(soon)),
-            CeState::AwaitSync => self.sync_result.is_some().then_some(soon),
-            CeState::AwaitCounter => self.await_counter_event(soon, ccbus, counters),
-            CeState::AwaitClusterBarrier => ccbus.peek_release(self.ce_in_cluster).then_some(soon),
-            CeState::GlobalBarrier { phase, .. } => match phase {
-                GbPhase::PollWait { at } => Some((*at).max(soon)),
-                GbPhase::AwaitArrive | GbPhase::AwaitPoll => {
-                    self.sync_result.is_some().then_some(soon)
-                }
-            },
-            CeState::AwaitFence => (self.outstanding_writes == 0).then_some(soon),
-        };
-        min_event(fault_ev, min_event(pfu_ev, state_ev))
-    }
-
-    /// `next_event` for the [`CeState::AwaitCounter`] wait, which resolves
-    /// differently per counter kind.
-    fn await_counter_event(
-        &self,
-        soon: Cycle,
-        ccbus: &CcBus,
-        counters: &[CounterDef],
-    ) -> Option<Cycle> {
-        let FrameKind::SelfSched { counter, epoch, .. } = self.cur_kind() else {
-            unreachable!("AwaitCounter without a SelfSched frame");
-        };
-        match counters[counter] {
-            CounterDef::Cluster { .. } => ccbus.peek_grant(self.ce_in_cluster).then_some(soon),
-            CounterDef::Global { .. } => self.sync_result.is_some().then_some(soon),
-            CounterDef::GlobalShared { .. } => {
-                if self.sdoall_awaiting_reply {
-                    self.sync_result.is_some().then_some(soon)
-                } else if self.sdoall_must_fetch
-                    || ccbus.sdoall_can_take(self.ce_in_cluster, counter, epoch)
-                {
-                    // Will issue the elected fetch, or take a posted value.
-                    Some(soon)
-                } else {
-                    None // another CE's fetch is in flight
-                }
-            }
-        }
-    }
-
     /// Attribute `cycles` cycles in which the engine made no progress to
     /// the class its (unchanging) state decides. The one table behind the
-    /// full tick's fallthrough, the quick tick and the fast-forward skip,
-    /// which must agree for all three to stay bit-identical.
+    /// full tick's fallthrough and [`CeEngine::skip`], which must agree
+    /// for quick ticks and fast-forward to stay bit-identical.
     #[inline]
     fn charge_blocked(&mut self, cycles: u64) {
         match self.state {
@@ -614,27 +492,37 @@ impl CeEngine {
         }
     }
 
-    /// Credit `cycles` skipped quiescent cycles with exactly the counter
-    /// increments the per-cycle [`CeEngine::tick`] would have made. Only
-    /// valid over a span `next_event` declared event-free: every skipped
-    /// tick is a no-op except for one stall/idle/busy attribution, decided
-    /// by the (unchanging) state the same way the tick's fallthrough does.
-    pub(crate) fn skip(&mut self, now: Cycle, cycles: u64) {
+    /// Credit the `cycles` cycles from `from` on, all before the wake
+    /// cycle, with exactly the counter increments the per-cycle
+    /// [`CeEngine::tick`] would have made: each such tick is a no-op but
+    /// for one stall/idle/busy attribution (decided by the unchanging
+    /// state the same way the tick's fallthrough does) and a suspended
+    /// prefetch unit's page-wait cycle. The quick tick is `skip(now, 1)`.
+    pub(crate) fn skip(&mut self, from: Cycle, cycles: u64) {
         debug_assert!(self.pending_pkt.is_none(), "skipped CE holds a packet");
+        debug_assert!(
+            from + (cycles - 1) < self.wake,
+            "skipped past the wake cycle"
+        );
         if matches!(self.state, CeState::Done) {
             self.stats.idle += cycles;
             return;
         }
         self.pfu.skip(cycles);
-        if now < self.vm_stall_until {
+        if from < self.vm_stall_until {
             self.stats.stall_mem += cycles;
             return;
         }
         self.charge_blocked(cycles);
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle, then recompute the wake cycle.
     pub fn tick(&mut self, now: Cycle, ctx: &mut CeContext<'_>) {
+        self.advance(now, ctx);
+        self.wake = self.wake_after(now, ctx.counters);
+    }
+
+    fn advance(&mut self, now: Cycle, ctx: &mut CeContext<'_>) {
         // Flush a request that failed injection last cycle (even when the
         // program has finished — the final store must still drain).
         if let Some(pkt) = self.pending_pkt.take() {
@@ -659,10 +547,6 @@ impl CeEngine {
         }
         if matches!(self.state, CeState::Done) {
             self.stats.idle += 1;
-            if self.flat.is_some() && self.pending_pkt.is_none() && self.fault_ctl.is_none() {
-                // Nothing left to drain: every remaining tick is idle.
-                self.quiet_until = Cycle(u64::MAX);
-            }
             return;
         }
         // The PFU shares the CE's network port (skip the call — it goes
@@ -697,32 +581,25 @@ impl CeEngine {
         if self.is_done() && self.stats.done_at == 0 {
             self.stats.done_at = now.0;
         }
-        if self.flat.is_some() {
-            self.note_quiet(now, ctx.counters);
-        }
     }
 
-    /// Lowered-mode quick tick: strictly before the quiescent horizon a
-    /// full [`CeEngine::tick`] provably reduces to one attribution
-    /// increment — the engine is parked in a wait that nothing but a
-    /// reply delivery or a known future cycle can end, with no pending
-    /// packet, no retry controller and an idle prefetch issue unit, so
-    /// the packet flush, retry poll, PFU tick and step loop are all
-    /// no-ops. Performs that increment (the same stall/idle/busy class
-    /// the full tick's fallthrough would pick) and returns `true`;
-    /// returns `false` when a full tick is required. Never engaged for
-    /// the interpreter (the horizon stays at zero).
+    /// Lowered-mode quick tick: strictly before the wake cycle a full
+    /// [`CeEngine::tick`] provably reduces to [`CeEngine::skip`]`(now, 1)`,
+    /// so that is all this does, returning `true`; it returns `false`
+    /// when a full tick is due. Only lowered engines take it: the
+    /// interpreter always full-ticks, so it stays the oracle that catches
+    /// a wake cycle set too late.
     #[inline]
     pub(crate) fn try_quick_tick(&mut self, now: Cycle, ccbus: &CcBus) -> bool {
-        if now >= self.quiet_until {
+        debug_assert!(self.flat.is_some(), "the interpreter never quick-ticks");
+        if now >= self.wake {
             return false;
         }
-        // CC-bus waits end on *pulled* state, so their horizon is
-        // open-ended; the quick tick peeks (non-consuming) and falls
-        // back to a full tick the cycle a release or grant becomes
-        // visible — the same cycle the polling stepper would consume
-        // it. A grant/release can only be posted for a CE that asked,
-        // so the peeks are trivially false in every other wait.
+        // A CC-bus grant or release ends a `NEVER` sleep without passing
+        // through `receive`: peek (non-consuming) and full-tick the cycle
+        // it is visible — the cycle the polling stepper would consume
+        // it. Only a CE that asked is ever posted a grant or release, so
+        // the peeks are false in every other wait.
         match self.state {
             CeState::AwaitClusterBarrier if ccbus.peek_release(self.ce_in_cluster) => {
                 return false;
@@ -732,32 +609,83 @@ impl CeEngine {
             }
             _ => {}
         }
-        self.charge_blocked(1);
+        self.skip(now, 1);
         true
     }
 
-    /// Recompute the quiescent horizon after a full lowered-mode tick.
-    ///
-    /// A horizon is only legal for a wait that exactly two things can
-    /// end: reaching a cycle already known (a fused stall's deadline, a
-    /// scheduled completion), or a reply delivery — which always lands
-    /// through [`CeEngine::receive`], where the horizon is dropped.
-    /// Waits resolved by *pulled* state fall in two classes. CC-bus
-    /// grants and barrier releases are cheap to peek without consuming,
-    /// so [`CeEngine::try_quick_tick`] checks them itself and the
-    /// horizon may be open-ended. Posted self-scheduling values and
-    /// fetch elections have no such peek: those must keep ticking.
-    /// `Cycle::MAX` therefore means "quiet until a reply arrives or a
-    /// peeked bus flag flips".
-    fn note_quiet(&mut self, now: Cycle, counters: &[CounterDef]) {
-        self.quiet_until = Cycle::ZERO;
-        if self.pending_pkt.is_some() || self.fault_ctl.is_some() || !self.pfu.issue_idle() {
-            return;
-        }
+    /// The wake cycle after a full tick at `now`: the earliest cycle at
+    /// which a tick can do more than credit one cycle of attribution,
+    /// never earlier than `now + 1`. [`Cycle::NEVER`] means the engine
+    /// sleeps until a reply lands ([`CeEngine::receive`] clears the wake
+    /// cycle) or the CC bus posts it a grant or a release (which
+    /// [`CeEngine::try_quick_tick`] peeks, and which the bus reports as a
+    /// next-cycle event while untaken). Every other sleep ends at a cycle
+    /// known now: a stall's deadline, a vector start-up or fill, a
+    /// poll's backoff, a retry timeout, a prefetch page resume or a
+    /// VM-stall end. Posted self-scheduling values and fetch elections
+    /// have no peek, so a CE waiting on one keeps ticking.
+    fn wake_after(&self, now: Cycle, counters: &[CounterDef]) -> Cycle {
         let soon = now + 1;
-        self.quiet_until = match self.state {
-            CeState::Stall { until } if until > soon => until,
-            CeState::Done => Cycle(u64::MAX),
+        if self.pending_pkt.is_some() {
+            return soon; // retries injection every cycle
+        }
+        let at = |c: Cycle| c.max(soon);
+        let on = |ready: bool| if ready { soon } else { Cycle::NEVER };
+        let own = match self.state {
+            // Only idle cycles remain — except retries still draining.
+            CeState::Done => Cycle::NEVER,
+            // The state does not step while a VM stall lasts.
+            _ if now < self.vm_stall_until => self.vm_stall_until,
+            CeState::Fetch => soon,
+            CeState::Stall { until } => at(until),
+            CeState::VectorDirect {
+                length,
+                issued,
+                completed,
+                start_at,
+                ..
+            } => {
+                // The next completion matures off the ready queue; more
+                // issues need a free miss slot (freed by that same queue)
+                // and the end of the start-up ramp.
+                let drain = self.direct_ready.front().map_or(Cycle::NEVER, |&c| at(c));
+                let issue = if issued < length
+                    && self.outstanding_reads < self.cfg.max_outstanding_global
+                {
+                    at(start_at)
+                } else {
+                    Cycle::NEVER
+                };
+                if completed >= length {
+                    soon
+                } else {
+                    drain.min(issue)
+                }
+            }
+            CeState::VectorPref {
+                length,
+                consumed,
+                start_at,
+            } => {
+                if now < start_at {
+                    start_at
+                } else {
+                    // The next word lands through `receive`.
+                    on(consumed >= length || self.pfu.can_consume())
+                }
+            }
+            CeState::VectorGWrite {
+                length,
+                issued,
+                start_at,
+                ..
+            } => {
+                if issued >= length {
+                    soon
+                } else {
+                    at(start_at)
+                }
+            }
             CeState::VectorCache {
                 write,
                 length,
@@ -766,91 +694,46 @@ impl CeEngine {
                 start_at,
                 ..
             } => {
-                if issued < length && start_at > soon {
-                    start_at // startup ramp: no access before `start_at`
-                } else if issued >= length && !write && last_ready > soon {
-                    // All elements issued: quiet until the last fill.
-                    last_ready
+                if issued < length {
+                    at(start_at) // then contends for a cache bank each cycle
+                } else if write {
+                    soon
                 } else {
-                    Cycle::ZERO
+                    at(last_ready) // every element issued: the last fill
                 }
             }
-            CeState::VectorGWrite { start_at, .. } if start_at > soon => start_at,
-            // Consumed every word the prefetch unit holds; the next one
-            // arrives through `receive` (or the startup ramp ends).
-            CeState::VectorPref { start_at, .. } => {
-                if now < start_at {
-                    start_at
-                } else if !self.pfu.can_consume() {
-                    Cycle(u64::MAX)
-                } else {
-                    Cycle::ZERO
-                }
-            }
-            CeState::VectorDirect {
-                length,
-                issued,
-                start_at,
-                ..
-            } => {
-                // The next completion matures off the ready queue; more
-                // issues need a free miss slot (freed by that same
-                // queue) or the startup ramp. New replies clear the
-                // horizon in `receive`.
-                let drain = self.direct_ready.front().map_or(Cycle(u64::MAX), |&at| at);
-                let issue = if issued < length
-                    && self.outstanding_reads < self.cfg.max_outstanding_global
-                {
-                    start_at
-                } else {
-                    Cycle(u64::MAX)
-                };
-                let ev = drain.min(issue);
-                if ev > soon {
-                    ev
-                } else {
-                    Cycle::ZERO
-                }
-            }
-            CeState::AwaitScalarRead => match self.scalar_ready {
-                Some(at) if at > soon => at,
-                Some(_) => Cycle::ZERO,
-                None => Cycle(u64::MAX),
-            },
-            CeState::AwaitSync if self.sync_result.is_none() => Cycle(u64::MAX),
-            CeState::AwaitFence if self.outstanding_writes > 0 => Cycle(u64::MAX),
-            // Pulled waits: the quick tick itself peeks the CC bus and
-            // falls back to a full tick the cycle a release or grant
-            // appears — the same cycle the polling stepper would see it.
-            CeState::AwaitClusterBarrier => Cycle(u64::MAX),
+            CeState::AwaitScalarRead => self.scalar_ready.map_or(Cycle::NEVER, at),
+            CeState::AwaitSync => on(self.sync_result.is_some()),
             CeState::AwaitCounter => {
                 let FrameKind::SelfSched { counter, .. } = self.cur_kind() else {
                     unreachable!("AwaitCounter without a SelfSched frame");
                 };
                 match counters[counter] {
-                    // Grant is pulled: peeked by the quick tick.
-                    CounterDef::Cluster { .. } => Cycle(u64::MAX),
-                    // Fetch already in flight: resolved by a reply.
-                    CounterDef::Global { .. } if self.sync_result.is_none() => Cycle(u64::MAX),
-                    CounterDef::GlobalShared { .. }
-                        if self.sdoall_awaiting_reply && self.sync_result.is_none() =>
-                    {
-                        Cycle(u64::MAX)
+                    CounterDef::Cluster { .. } => Cycle::NEVER,
+                    CounterDef::Global { .. } => on(self.sync_result.is_some()),
+                    CounterDef::GlobalShared { .. } if self.sdoall_awaiting_reply => {
+                        on(self.sync_result.is_some())
                     }
-                    // Posted values / elections are pulled state with no
-                    // peek in the quick tick: keep ticking.
-                    _ => Cycle::ZERO,
+                    CounterDef::GlobalShared { .. } => soon,
                 }
             }
+            CeState::AwaitClusterBarrier => Cycle::NEVER,
             CeState::GlobalBarrier { phase, .. } => match phase {
-                GbPhase::PollWait { at } if at > soon => at,
-                GbPhase::AwaitArrive | GbPhase::AwaitPoll if self.sync_result.is_none() => {
-                    Cycle(u64::MAX)
-                }
-                _ => Cycle::ZERO,
+                GbPhase::PollWait { at: poll } => at(poll),
+                GbPhase::AwaitArrive | GbPhase::AwaitPoll => on(self.sync_result.is_some()),
             },
-            _ => Cycle::ZERO,
+            CeState::AwaitFence => on(self.outstanding_writes == 0),
         };
+        if own == soon {
+            return soon;
+        }
+        let fault = self.fault_ctl.as_deref().and_then(|c| c.next_event(now));
+        let pfu = match self.state {
+            CeState::Done => None, // a finished CE no longer ticks its PFU
+            _ => self.pfu.next_event(now),
+        };
+        own.min(fault.unwrap_or(Cycle::NEVER))
+            .min(pfu.unwrap_or(Cycle::NEVER))
     }
 
     /// One step of lowered execution: the hot vector states mutate in
@@ -2550,7 +2433,7 @@ impl CeEngine {
             });
             w.bool(f.fire_pending);
         });
-        w.cycle(self.quiet_until);
+        w.cycle(self.wake);
         w.u64s(&self.indices);
         put_ce_state(w, &self.state);
         self.pfu.save_state(w);
@@ -2658,7 +2541,7 @@ impl CeEngine {
                 ));
             }
         }
-        self.quiet_until = r.cycle()?;
+        self.wake = r.cycle()?;
         self.indices = r.u64s()?;
         self.state = get_ce_state(r)?;
         self.pfu.load_state(r)?;
@@ -2712,15 +2595,6 @@ impl CeEngine {
             done_at: r.u64()?,
         };
         Ok(())
-    }
-}
-
-/// The earlier of two optional wakeup cycles (`None` = no event).
-pub(crate) fn min_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 

@@ -47,8 +47,11 @@ pub struct HangReport {
     /// a future event) or `"synchronization stall"` (every live CE stuck
     /// in a sync wait across repeated checks).
     pub kind: String,
-    /// Engine state of every unfinished CE, as `(ce index, state)`.
-    pub ces: Vec<(usize, String)>,
+    /// Every unfinished CE, as `(ce index, state, wake cycle)`: the
+    /// wake cycle is the next cycle the engine does more than wait, or
+    /// `None` (printed `∞`) while it sleeps until a reply lands or its CC
+    /// bus posts it a grant or release.
+    pub ces: Vec<(usize, String, Option<u64>)>,
     /// How many of those CEs are blocked in barrier/counter/sync waits.
     pub barrier_waiters: usize,
     /// Packets in flight on the forward (CE → memory) network.
@@ -105,8 +108,11 @@ impl fmt::Display for HangReport {
                 writeln!(f, "    lane[{lane}]: {waits} waits, {ns}ns parked")?;
             }
         }
-        for (ce, state) in &self.ces {
-            writeln!(f, "  ce[{ce}]: {state}")?;
+        for (ce, state, wake) in &self.ces {
+            match wake {
+                Some(at) => writeln!(f, "  ce[{ce}]: {state}, wakes at {at}")?,
+                None => writeln!(f, "  ce[{ce}]: {state}, wakes at ∞")?,
+            }
         }
         if !self.module_queues.is_empty() {
             write!(f, "  module queues:")?;
@@ -181,8 +187,8 @@ mod tests {
             at_cycle: 40_960,
             kind: "synchronization stall".into(),
             ces: vec![
-                (0, "GlobalBarrier(poll)".into()),
-                (8, "AwaitCounter".into()),
+                (0, "GlobalBarrier(poll)".into(), Some(40_993)),
+                (8, "AwaitCounter".into(), None),
             ],
             barrier_waiters: 2,
             fwd_in_flight: 1,
@@ -202,8 +208,14 @@ mod tests {
         let r = sample_report();
         let text = r.to_string();
         assert!(text.contains("cycle 40960"));
-        assert!(text.contains("ce[0]: GlobalBarrier(poll)"));
-        assert!(text.contains("ce[8]: AwaitCounter"));
+        assert!(
+            text.contains("ce[0]: GlobalBarrier(poll), wakes at 40993"),
+            "a CE with a known wake cycle names it: {text}"
+        );
+        assert!(
+            text.contains("ce[8]: AwaitCounter, wakes at ∞"),
+            "a CE asleep on a delivery or bus flag prints ∞: {text}"
+        );
         assert!(text.contains("[3]=2"));
         assert!(
             text.contains("two lanes: 512 rounds, 498 early memory ticks"),

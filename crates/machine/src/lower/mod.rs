@@ -12,8 +12,8 @@
 //! * **Timed runs** — maximal straight-line stretches of purely timed
 //!   work (scalar busy cycles, scalar flops, register-register vector
 //!   ops) collapse into one [`UOp::TimedRun`] that charges the whole
-//!   segment as a single stall. The engine parks in `Stall { until }`,
-//!   reports the segment end through `next_event`, and the run loop
+//!   segment as a single stall. The engine parks in `Stall { until }`
+//!   with the segment end as its wake cycle, and the run loop
 //!   bulk-credits the busy cycles — one dispatch instead of one per op.
 //! * **Pure loop collapse** — a `Repeat` whose body is entirely timed
 //!   work folds into the enclosing timed run: `count × body` cycles,

@@ -185,6 +185,10 @@ pub struct Machine {
     pub(crate) util_scratch: Vec<UtilSample>,
     /// Cycles the fast-forward path jumped over instead of ticking.
     pub(crate) fastfwd_skipped: u64,
+    /// The earliest wake cycle of any engine, folded by the cluster
+    /// phase; what fast-forward and the watchdog read instead of asking
+    /// each engine. Not snapshotted: restore re-folds it.
+    pub(crate) ce_wake: Cycle,
     /// Scheduled link/module outage transitions; `None` on the fault-free
     /// machine (a disabled [`crate::fault::FaultPlan`] allocates nothing).
     pub(crate) fault_sched: Option<FaultSchedule>,
@@ -393,6 +397,7 @@ impl Machine {
             stat_keys,
             util_scratch: Vec::with_capacity(cfg.total_ces()),
             fastfwd_skipped: 0,
+            ce_wake: Cycle::ZERO,
             fault_sched,
             trace_store: TraceStore::default(),
             profiler: None,
@@ -878,6 +883,7 @@ impl Machine {
         let start = self.now;
         self.timeline.reset(start, total);
         self.fastfwd_skipped = 0;
+        self.ce_wake = Cycle::ZERO;
         // Journey spans reset with the engines: the store (and the
         // `trace.*` registry keys) covers exactly the upcoming run.
         self.trace_store.clear();

@@ -77,7 +77,7 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crate::ce::{min_event, CeContext, CeEngine};
+use crate::ce::{CeContext, CeEngine};
 use crate::error::{HangReport, LaneContext, MachineError, Result};
 use crate::handoff::{lent, Handoff, Leave, Released, Slot, LANE_A, LANE_B, STOPPED};
 use crate::machine::{Machine, Watchdog, STUCK_SYNC_CHECKS};
@@ -566,7 +566,8 @@ impl Machine {
         });
     }
 
-    /// `C(now)`: every CC bus first, then the engines in CE-id order.
+    /// `C(now)`: every CC bus first, then the engines in CE-id order,
+    /// folding their wake cycles into the machine's.
     fn cluster_phase(&mut self, now: Cycle) {
         let Machine {
             forward,
@@ -577,6 +578,8 @@ impl Machine {
             counters,
             barriers,
             profiler,
+            ce_wake,
+            lowered,
             ..
         } = self;
         let forward: &mut Omega = forward;
@@ -584,26 +587,27 @@ impl Machine {
             for cl in clusters.iter_mut() {
                 cl.ccbus.tick(now);
             }
+            let mut wake = Cycle::NEVER;
             for e in engines.iter_mut().flatten() {
-                // Lowered mode: parked in a fused timed stall (or
-                // finished) — one attribution increment, no context
-                // plumbing.
+                // Lowered, before the engine's wake cycle: one cycle of
+                // attribution, no context plumbing.
                 let cluster = &mut clusters[e.cluster().0];
-                if e.try_quick_tick(now, &cluster.ccbus) {
-                    continue;
+                if !(*lowered && e.try_quick_tick(now, &cluster.ccbus)) {
+                    let mut ctx = CeContext {
+                        forward: &mut *forward,
+                        cache: &mut cluster.cache,
+                        ccbus: &mut cluster.ccbus,
+                        tlb: &mut cluster.tlb,
+                        page_table: &mut *page_table,
+                        counters,
+                        barriers,
+                        tracer: &mut *tracer,
+                    };
+                    e.tick(now, &mut ctx);
                 }
-                let mut ctx = CeContext {
-                    forward: &mut *forward,
-                    cache: &mut cluster.cache,
-                    ccbus: &mut cluster.ccbus,
-                    tlb: &mut cluster.tlb,
-                    page_table: &mut *page_table,
-                    counters,
-                    barriers,
-                    tracer: &mut *tracer,
-                };
-                e.tick(now, &mut ctx);
+                wake = wake.min(e.wake());
             }
+            *ce_wake = wake;
         });
     }
 
@@ -677,7 +681,8 @@ impl Machine {
                 // 32-CE Cedar, but a pathological config should not build
                 // an unbounded report.
                 if ces.len() < 64 {
-                    ces.push((e.id().0, e.hang_state()));
+                    let wake = (e.wake() != Cycle::NEVER).then_some(e.wake().0);
+                    ces.push((e.id().0, e.hang_state(), wake));
                 }
             }
         }
@@ -702,7 +707,10 @@ impl Machine {
     ///
     /// Conservative by construction: any subsystem unsure of its next
     /// event answers `now + 1`, which suppresses skipping but can never
-    /// change results.
+    /// change results. The engines answer through the earliest wake
+    /// cycle the last cluster phase folded, which no engine has moved
+    /// since: replies land before the cluster phase, and skips credit
+    /// without ticking.
     fn next_machine_event(&self) -> Option<Cycle> {
         let now = self.now;
         let soon = now + 1;
@@ -726,14 +734,8 @@ impl Machine {
                 return best;
             }
         }
-        for e in self.engines.iter().flatten() {
-            let ccbus = &self.clusters[e.cluster().0].ccbus;
-            best = min_event(best, e.next_event(now, ccbus, &self.counters));
-            if best == Some(soon) {
-                return best;
-            }
-        }
-        best
+        let engines = (self.ce_wake != Cycle::NEVER).then(|| self.ce_wake.max(soon));
+        min_event(best, engines)
     }
 
     /// Event-horizon fast-forward: if every subsystem is quiescent until
@@ -767,7 +769,7 @@ impl Machine {
             let k = chunk_end - self.now;
             self.gmem.skip(k);
             for e in self.engines.iter_mut().flatten() {
-                e.skip(self.now, k);
+                e.skip(self.now + 1, k);
             }
             self.fastfwd_skipped += k;
             self.now = chunk_end;
@@ -776,6 +778,15 @@ impl Machine {
                 self.timeline.record(&self.util_scratch);
             }
         }
+    }
+}
+
+/// The earlier of two optional event cycles (`None` = no event).
+fn min_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
     }
 }
 

@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::thread::Scope;
 
 use super::{read_payload, write_snapshot_file, ImageWriter, SnapReader, SnapResult, SnapWriter};
+use crate::ce::CeEngine;
 use crate::error::{MachineError, Result};
 use crate::ids::{CeId, ClusterId};
 use crate::lower::LowerMeta;
@@ -507,6 +508,15 @@ impl Machine {
                 .err_mismatch("trailing bytes after the last section")
                 .into());
         }
+        // The wake horizon is derived state: fold it from the engines
+        // exactly as the cluster phase left it.
+        self.ce_wake = self
+            .engines
+            .iter()
+            .flatten()
+            .map(CeEngine::wake)
+            .min()
+            .unwrap_or(Cycle::NEVER);
         Ok(run)
     }
 }

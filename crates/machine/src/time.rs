@@ -27,6 +27,10 @@ impl Cycle {
     /// Time zero.
     pub const ZERO: Cycle = Cycle(0);
 
+    /// A wake cycle that never comes: the component sleeps until another
+    /// one wakes it.
+    pub const NEVER: Cycle = Cycle(u64::MAX);
+
     /// Convert a cycle count to seconds using the given cycle time.
     pub fn to_seconds(self, cycle_ns: f64) -> f64 {
         self.0 as f64 * cycle_ns * 1e-9

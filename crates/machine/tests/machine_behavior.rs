@@ -399,6 +399,39 @@ fn deadlocked_barrier_is_diagnosed_with_a_hang_report() {
     }
 }
 
+/// A lone arriver at a two-party *cluster* barrier sleeps on a bus
+/// release that never comes, beside a CE still working: nothing in the
+/// machine has a future event once the worker finishes, so the watchdog
+/// reports event starvation and names who was asleep on what — the
+/// arriver with no wake cycle, the finished worker not at all.
+#[test]
+fn event_starvation_names_the_sleepers_and_their_wake_cycles() {
+    let mut m = Machine::cedar().unwrap();
+    let barrier = m.alloc_barrier(BarrierScope::Cluster(ClusterId(0)), 2);
+    let mut lone = ProgramBuilder::new();
+    lone.push(Op::Barrier { barrier });
+    let mut worker = ProgramBuilder::new();
+    worker.scalar(5_000);
+    match m.run(
+        vec![(CeId(0), lone.build()), (CeId(9), worker.build())],
+        2_000_000,
+    ) {
+        Err(MachineError::Deadlock { report }) => {
+            assert_eq!(report.kind, "event starvation");
+            assert_eq!(
+                report.ces,
+                vec![(0, "AwaitClusterBarrier".to_string(), None)]
+            );
+            let text = report.to_string();
+            assert!(
+                text.contains("ce[0]: AwaitClusterBarrier, wakes at ∞"),
+                "report names the sleeper: {text}"
+            );
+        }
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+}
+
 /// The watchdog judges the simulated machine, not the host: on one thread
 /// or on two lanes (which is what 2 and 4 threads both mean), a stuck run
 /// stops on the same cycle with the same error, the same hang report and

@@ -18,7 +18,7 @@ use cedar_machine::machine::Machine;
 use cedar_machine::program::{MemOperand, Op, Program, ProgramBuilder, VectorOp};
 use cedar_machine::sched::BarrierScope;
 use cedar_machine::stats::export::flat_text;
-use cedar_machine::{ClusterId, MachineConfig, MachineStats};
+use cedar_machine::{ClusterId, FaultPlan, MachineConfig, MachineStats};
 use cedar_perfect::codes::{spec, CodeName};
 use cedar_xylem::costs::XylemCosts;
 
@@ -234,5 +234,59 @@ fn perfect_trfd_matches_across_thread_counts() {
     for threads in [1, 2, 4] {
         let got = run_perfect(true, threads);
         assert_equivalent(&format!("perfect TRFD x{threads} threads"), &base, &got);
+    }
+}
+
+/// Fast-forward never loses precision: on four named runs — a Table 1
+/// row, Perfect TRFD, the barrier storm and a faulty GM/pref run shaped
+/// like the resilience study's — the skip count stays at or above the
+/// count the per-engine event scan that the wake cycles replaced reached.
+/// A wake cycle set earlier than it needs to be shows up here as lost
+/// skips, which the bit-identity tests cannot see.
+#[test]
+fn skip_counts_hold_their_floors() {
+    if !skipping_possible() {
+        return;
+    }
+    let faulty = || {
+        let plan = FaultPlan {
+            drop_per_million: 5_000,
+            nack_per_million: 2_500,
+            ..FaultPlan::none(1)
+        };
+        let cfg = MachineConfig::cedar_with_clusters(4).with_faults(plan);
+        fingerprint_run(cfg, |m| {
+            Rank64 {
+                n: 64,
+                k: 64,
+                version: Rank64Version::GmPrefetch { block_words: 32 },
+            }
+            .build(m, 4)
+        })
+    };
+    // The interpreter ends a wait at every op boundary that lowering
+    // fuses into one timed run, so it has less to skip.
+    let trfd_floor = if cedar_machine::config::lowered_disabled_from_env() {
+        92_322
+    } else {
+        93_601
+    };
+    let runs: [(&str, u64, Fingerprint); 4] = [
+        (
+            "table1 GM/no-pref",
+            9,
+            run_rank64(Rank64Version::GmNoPrefetch, true, 1),
+        ),
+        ("perfect TRFD", trfd_floor, run_perfect(true, 1)),
+        ("barrier storm", 80_020, run_barrier_storm(true, 1)),
+        ("faulty GM/pref", 3_914, faulty()),
+    ];
+    for (label, floor, got) in runs {
+        assert!(
+            got.skipped >= floor,
+            "{label}: skipped {} of {} cycles, below the floor of {floor}",
+            got.skipped,
+            got.cycles
+        );
     }
 }

@@ -17,7 +17,7 @@ use cedar_machine::program::{AddressExpr, MemOperand, Op, Program, ProgramBuilde
 use cedar_machine::sched::BarrierScope;
 use cedar_machine::stats::export::flat_text;
 use cedar_machine::time::Cycle;
-use cedar_machine::{CounterId, CounterScope};
+use cedar_machine::{ClusterId, CounterId, CounterScope, FaultPlan, TraceEvent, TracePlan};
 use cedar_methodology::stability::{instability, stability};
 
 #[derive(Default)]
@@ -635,43 +635,88 @@ fn emit_random_ops(b: &mut ProgramBuilder, rng: &mut SplitMix, depth: u32, count
     }
 }
 
+/// What a random-program run leaves behind: cycles, memory digest,
+/// flattened stats registry and the journey trace stream (empty unless
+/// the machine traces).
+#[derive(Debug, PartialEq)]
+struct RandomRun {
+    cycles: u64,
+    digest: u64,
+    stats: String,
+    trace: Vec<TraceEvent>,
+}
+
+impl RandomRun {
+    /// Assert `got` equals `self` field by field, with a readable stats
+    /// diff.
+    fn assert_same(&self, got: &RandomRun, base: &str, other: &str) -> TestCaseResult {
+        prop_assert_eq!(self.cycles, got.cycles, "cycle count drifted");
+        prop_assert_eq!(self.digest, got.digest, "memory digest drifted");
+        if self.stats != got.stats {
+            let diff: Vec<String> = self
+                .stats
+                .lines()
+                .zip(got.stats.lines())
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| format!("  {base}: {a}\n  {other}: {b}"))
+                .collect();
+            prop_assert!(false, "stats drifted:\n{}", diff.join("\n"));
+        }
+        prop_assert!(self.trace == got.trace, "trace stream drifted");
+        Ok(())
+    }
+}
+
 /// One full-machine run of a seeded random program mix: every CE gets
-/// its own generated program, all CEs meet at one global barrier at the
-/// end, and self-scheduled loops share two global counters across CEs.
-fn run_random_programs(seed: u64, lowered: bool, threads: usize) -> (u64, u64, String, bool) {
+/// its own generated program, self-scheduled loops share two global
+/// counters, its cluster's bus counter and an SDOALL counter with the
+/// other CEs, and every CE meets its cluster at a bus barrier and then
+/// the whole machine at a global barrier at the end.
+fn run_random_programs(seed: u64, lowered: bool, threads: usize) -> RandomRun {
     let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
         .with_threads(threads)
         .with_lowered(lowered);
     run_random_programs_on(seed, cfg)
 }
 
-fn run_random_programs_on(
-    seed: u64,
-    cfg: cedar_machine::MachineConfig,
-) -> (u64, u64, String, bool) {
+fn run_random_programs_on(seed: u64, cfg: cedar_machine::MachineConfig) -> RandomRun {
     let mut m = Machine::new(cfg).unwrap();
-    let total = m.config().total_ces();
-    let counters = [
+    let (clusters, cpc) = (m.config().clusters, m.config().ces_per_cluster);
+    let shared = [
         m.alloc_counter(CounterScope::Global),
         m.alloc_counter(CounterScope::Global),
+        m.alloc_counter(CounterScope::SdoallGlobal),
     ];
-    let barrier = m.alloc_barrier(BarrierScope::Global, total as u32);
-    let progs: Vec<(CeId, Program)> = (0..total)
+    let per_cluster: Vec<(CounterId, _)> = (0..clusters)
+        .map(|c| {
+            (
+                m.alloc_counter(CounterScope::Cluster(ClusterId(c))),
+                m.alloc_barrier(BarrierScope::Cluster(ClusterId(c)), cpc as u32),
+            )
+        })
+        .collect();
+    let barrier = m.alloc_barrier(BarrierScope::Global, (clusters * cpc) as u32);
+    let progs: Vec<(CeId, Program)> = (0..clusters * cpc)
         .map(|ce| {
+            let (bus_counter, bus_barrier) = per_cluster[ce / cpc];
+            let counters = [shared[0], shared[1], shared[2], bus_counter];
             let mut rng = SplitMix(seed ^ (ce as u64).wrapping_mul(0xA5A5_5A5A));
             let mut b = ProgramBuilder::new();
             emit_random_ops(&mut b, &mut rng, 0, &counters);
+            b.push(Op::Barrier {
+                barrier: bus_barrier,
+            });
             b.push(Op::Barrier { barrier });
             (CeId(ce), b.build())
         })
         .collect();
     let r = m.run(progs, 1_000_000_000).unwrap();
-    (
-        r.cycles,
-        m.memory_digest(),
-        flat_text(&r.stats),
-        m.lowered_enabled(),
-    )
+    RandomRun {
+        cycles: r.cycles,
+        digest: m.memory_digest(),
+        stats: flat_text(&r.stats),
+        trace: m.trace_events().to_vec(),
+    }
 }
 
 proptest! {
@@ -681,34 +726,22 @@ proptest! {
     /// The lowering pipeline is byte-identical to the tree-walking
     /// interpreter on arbitrary generated programs — every `Op`
     /// variant, loop shapes past the collapse bound, shared
-    /// self-scheduling counters, a global barrier — across thread
-    /// counts: same cycle count, same memory digest, same flattened
-    /// stats registry.
+    /// self-scheduling counters of every scope, bus and global barriers —
+    /// across thread counts: same cycle count, same memory digest, same
+    /// flattened stats registry.
     #[test]
     fn lowering_is_bit_identical_to_the_interpreter(
         seed in 0u64..100_000,
         threads in prop::sample::select(vec![1usize, 4]),
     ) {
-        let (base_cycles, base_digest, base_stats, _) =
-            run_random_programs(seed, false, 1);
-        let (flat_cycles, flat_digest, flat_stats, _) =
-            run_random_programs(seed, true, threads);
-        prop_assert_eq!(base_cycles, flat_cycles, "cycle count drifted");
-        prop_assert_eq!(base_digest, flat_digest, "memory digest drifted");
-        if base_stats != flat_stats {
-            let diff: Vec<String> = base_stats
-                .lines()
-                .zip(flat_stats.lines())
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| format!("  interpreter: {a}\n  lowered:     {b}"))
-                .collect();
-            prop_assert!(false, "stats drifted:\n{}", diff.join("\n"));
-        }
+        let base = run_random_programs(seed, false, 1);
+        let flat = run_random_programs(seed, true, threads);
+        base.assert_same(&flat, "interpreter", "lowered    ")?;
     }
 
     /// Two-lane execution is bit-identical to the one-thread engine on
     /// arbitrary generated traffic — sync ops, gathers/scatters, prefetch
-    /// bursts, shared self-scheduling counters, a global barrier — with
+    /// bursts, shared self-scheduling counters, barriers — with
     /// fast-forward on (rounds that skip cycles refuse the early memory
     /// tick) and off (every quiet cycle is a round lane B sits out).
     #[test]
@@ -719,19 +752,37 @@ proptest! {
         let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
             .with_lowered(true)
             .with_fast_forward(fastfwd);
-        let (base_cycles, base_digest, base_stats, _) =
-            run_random_programs_on(seed, cfg.clone());
-        let (cycles, digest, stats, _) = run_random_programs_on(seed, cfg.with_threads(2));
-        prop_assert_eq!(base_cycles, cycles, "cycle count drifted, fastfwd={}", fastfwd);
-        prop_assert_eq!(base_digest, digest, "memory digest drifted, fastfwd={}", fastfwd);
-        if base_stats != stats {
-            let diff: Vec<String> = base_stats
-                .lines()
-                .zip(stats.lines())
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| format!("  one thread: {a}\n  two lanes:  {b}"))
-                .collect();
-            prop_assert!(false, "stats drifted, fastfwd={}:\n{}", fastfwd, diff.join("\n"));
+        let base = run_random_programs_on(seed, cfg.clone());
+        let lanes = run_random_programs_on(seed, cfg.with_threads(2));
+        base.assert_same(&lanes, "one thread", "two lanes ")?;
+    }
+
+    /// Fast-forward is invisible on arbitrary generated programs, with and
+    /// without a fault plan and the VM model (which runs the interpreter):
+    /// jumping to the earliest wake cycle leaves the cycle count, stats
+    /// tree, memory digest and journey trace stream exactly as ticking
+    /// every cycle does.
+    #[test]
+    fn fast_forward_is_bit_identical_on_random_programs(
+        seed in 0u64..100_000,
+        faults in any::<bool>(),
+        vm in any::<bool>(),
+    ) {
+        let mut cfg = cedar_machine::MachineConfig::cedar_with_clusters(2).with_trace(TracePlan {
+            seed,
+            sample_ppm: 250_000,
+        });
+        if faults {
+            cfg = cfg.with_faults(FaultPlan {
+                drop_per_million: 3_000,
+                nack_per_million: 1_500,
+                ..FaultPlan::none(seed)
+            });
         }
+        cfg.vm.enabled = vm;
+        let ticked = run_random_programs_on(seed, cfg.clone().with_fast_forward(false));
+        let skipped = run_random_programs_on(seed, cfg.with_fast_forward(true));
+        prop_assert!(!ticked.trace.is_empty(), "the machine traced nothing");
+        ticked.assert_same(&skipped, "ticked", "skipped")?;
     }
 }

@@ -25,10 +25,12 @@ use cedar_fortran::restructure::{Level, Restructurer};
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
 use cedar_machine::ids::CeId;
 use cedar_machine::machine::Machine;
-use cedar_machine::program::Program;
+use cedar_machine::program::{Op, Program, ProgramBuilder};
+use cedar_machine::sched::BarrierScope;
 use cedar_machine::stats::export::flat_text;
 use cedar_machine::{
-    FaultPlan, LinkOutage, MachineConfig, MachineError, MachineStats, ModuleOutage, TracePlan,
+    ClusterId, FaultPlan, LinkOutage, MachineConfig, MachineError, MachineStats, ModuleOutage,
+    TracePlan,
 };
 use cedar_perfect::codes::{spec, CodeName};
 use cedar_xylem::costs::XylemCosts;
@@ -97,8 +99,15 @@ fn build_rank64(m: &mut Machine, clusters: usize, version: Rank64Version) -> Vec
 }
 
 fn uninterrupted(cfg: &MachineConfig, clusters: usize, version: Rank64Version) -> Fingerprint {
+    uninterrupted_with(cfg, |m| build_rank64(m, clusters, version))
+}
+
+fn uninterrupted_with(
+    cfg: &MachineConfig,
+    build: impl Fn(&mut Machine) -> Vec<(CeId, Program)>,
+) -> Fingerprint {
     let mut m = Machine::new(cfg.clone()).unwrap();
-    let progs = build_rank64(&mut m, clusters, version);
+    let progs = build(&mut m);
     let r = m.run(progs, LIMIT).unwrap();
     Fingerprint {
         cycles: r.cycles,
@@ -119,9 +128,21 @@ fn kill_then_resume(
     kill_at: u64,
     snap: &SnapFile,
 ) -> Fingerprint {
+    let build = |m: &mut Machine| build_rank64(m, clusters, version);
+    kill_then_resume_with(label, cfg, build, every, kill_at, snap)
+}
+
+fn kill_then_resume_with(
+    label: &str,
+    cfg: &MachineConfig,
+    build: impl Fn(&mut Machine) -> Vec<(CeId, Program)>,
+    every: u64,
+    kill_at: u64,
+    snap: &SnapFile,
+) -> Fingerprint {
     let killed_cfg = cfg.clone().with_checkpoint(every, &snap.0);
     let mut killed = Machine::new(killed_cfg).unwrap();
-    let progs = build_rank64(&mut killed, clusters, version);
+    let progs = build(&mut killed);
     match killed.run(progs, kill_at) {
         Err(MachineError::CycleLimitExceeded { .. }) => {}
         other => panic!("{label}: kill run should hit the cycle limit, got {other:?}"),
@@ -134,7 +155,7 @@ fn kill_then_resume(
     );
 
     let mut resumed = Machine::new(cfg.clone()).unwrap();
-    let progs = build_rank64(&mut resumed, clusters, version);
+    let progs = build(&mut resumed);
     let r = resumed
         .resume_from_file(progs, &snap.0, LIMIT)
         .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
@@ -224,6 +245,49 @@ fn lowered_kill_and_resume_is_bit_identical() {
         let label = format!("lowered t={threads}");
         let snap = SnapFile::new(&format!("low-{threads}"));
         let got = kill_then_resume(&label, &cfg, 4, version, t / 6, t / 2, &snap);
+        assert_identical(&label, &base, &got);
+    }
+}
+
+/// A barrier storm: each round one CE per cluster computes while its
+/// siblings sleep at the cluster's bus barrier, so almost every cycle has
+/// a live barrier episode and most engines asleep until its release.
+fn barrier_storm(m: &mut Machine) -> Vec<(CeId, Program)> {
+    let (clusters, cpc) = (m.config().clusters, m.config().ces_per_cluster);
+    let bars: Vec<_> = (0..clusters)
+        .map(|c| m.alloc_barrier(BarrierScope::Cluster(ClusterId(c)), cpc as u32))
+        .collect();
+    (0..clusters * cpc)
+        .map(|ce| {
+            let mut b = ProgramBuilder::new();
+            b.repeat(12, |b| {
+                if ce % cpc == 0 {
+                    b.scalar(3_000);
+                } else {
+                    b.scalar(40);
+                }
+                b.push(Op::Barrier {
+                    barrier: bars[ce / cpc],
+                });
+            });
+            (CeId(ce), b.build())
+        })
+        .collect()
+}
+
+/// The barrier storm killed mid-barrier: the image holds live barrier
+/// episodes and the wake cycles of engines asleep on them (and, with
+/// fast-forward, was written after a jump). Resume is bit-identical on
+/// one thread and on two lanes, against the one-thread uninterrupted run.
+#[test]
+fn barrier_storm_killed_mid_barrier_resumes_identically() {
+    let base = uninterrupted_with(&MachineConfig::cedar(), barrier_storm);
+    let t = base.cycles;
+    for threads in [1usize, 2] {
+        let label = format!("barrier storm t={threads}");
+        let snap = SnapFile::new(&format!("storm-{threads}"));
+        let cfg = MachineConfig::cedar().with_threads(threads);
+        let got = kill_then_resume_with(&label, &cfg, barrier_storm, t / 5, 2 * t / 3, &snap);
         assert_identical(&label, &base, &got);
     }
 }
