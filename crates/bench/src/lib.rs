@@ -10,7 +10,7 @@
 //! ```text
 //! cargo run --release -p cedar-bench --bin table1   # rank-64 update MFLOPS
 //! cargo run --release -p cedar-bench --bin table2   # prefetch latency/interarrival
-//! cargo run --release -p cedar-bench --bin table3   # Perfect suite (also 4, 5, 6, fig3)
+//! cargo run --release -p cedar-bench --bin table3   # Perfect suite: Tables 3–6, Fig. 3
 //! cargo run --release -p cedar-bench --bin ppt4     # CG scalability vs CM-5
 //! cargo run --release -p cedar-bench --bin all_experiments
 //! ```
@@ -26,11 +26,8 @@
 //! (prefetch block size and policy, Cedar synchronization, switch queue
 //! depth/radix, loop-scheduling flavor).
 //!
-//! ## Criterion micro-benchmarks
-//!
-//! `cargo bench -p cedar-bench` times short, representative simulator
-//! workloads (kernel slices, network transit, cache access, sync ops) —
-//! these measure the *simulator*, the binaries measure the *machine*.
+//! These binaries measure the *machine*; the standalone `benchmark/`
+//! package at the repository root measures the *simulator*.
 
 pub mod json;
 

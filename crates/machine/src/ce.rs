@@ -172,9 +172,10 @@ struct LFrame {
 }
 
 /// Lowered-execution state: the compiled micro-op stream, a single flat
-/// program counter, and the flat loop-frame stack. Present only when the
-/// machine runs with lowering enabled; when absent the engine is the
-/// unmodified tree-walking interpreter (the differential oracle).
+/// program counter, and the flat loop-frame stack. Present on every
+/// engine of a [`Machine::new`](crate::machine::Machine::new) machine;
+/// absent only on a reference machine's, which runs the tree-walking
+/// interpreter the tests compare the lowered engine against.
 #[derive(Debug)]
 struct FlatCtl {
     prog: Arc<LProgram>,
@@ -202,7 +203,9 @@ pub struct CeEngine {
     page_fault_cycles: u32,
     modules: usize,
     frames: Vec<Frame>,
-    /// Lowered-execution state (`None`: tree-walking interpreter).
+    /// Lowered-execution state. `None` only on a reference machine
+    /// ([`Machine::new_reference`](crate::machine::Machine::new_reference)),
+    /// whose engines run the tree-walking interpreter in `frames`.
     flat: Option<FlatCtl>,
     /// The wake cycle: strictly before it a full [`CeEngine::tick`] does
     /// nothing but credit one cycle of attribution. Every full tick
@@ -587,8 +590,8 @@ impl CeEngine {
     /// [`CeEngine::tick`] provably reduces to [`CeEngine::skip`]`(now, 1)`,
     /// so that is all this does, returning `true`; it returns `false`
     /// when a full tick is due. Only lowered engines take it: the
-    /// interpreter always full-ticks, so it stays the oracle that catches
-    /// a wake cycle set too late.
+    /// reference interpreter always full-ticks, so it catches a wake
+    /// cycle set too late.
     #[inline]
     pub(crate) fn try_quick_tick(&mut self, now: Cycle, ccbus: &CcBus) -> bool {
         debug_assert!(self.flat.is_some(), "the interpreter never quick-ticks");
@@ -740,11 +743,11 @@ impl CeEngine {
     /// place (no state-enum copy out and rebuild per element — at one
     /// element per tick the round-trip is real overhead), everything
     /// else falls through to the shared [`CeEngine::step`]. Semantics
-    /// are identical to the interpreter's steppers line for line; the
-    /// `vm_check` each stepper would make is skipped because lowering
-    /// is never enabled together with the vm model.
+    /// are identical to the interpreter's steppers line for line. The
+    /// in-place cache arm omits the `vm_check` its stepper makes, so
+    /// under the VM model cache streams take the shared stepper.
     fn step_lowered(&mut self, now: Cycle, ctx: &mut CeContext<'_>) -> Step {
-        debug_assert!(!self.vm_enabled, "lowered mode implies vm off");
+        let vm = self.vm_enabled;
         match &mut self.state {
             CeState::Stall { until } => {
                 if now >= *until {
@@ -762,7 +765,7 @@ impl CeEngine {
                 issued,
                 last_ready,
                 start_at,
-            } => {
+            } if !vm => {
                 let (write, length) = (*write, *length);
                 if *issued >= length && (write || now >= *last_ready) {
                     self.state = CeState::Fetch;
@@ -2415,24 +2418,22 @@ fn get_ce_state(r: &mut SnapReader) -> SnapResult<CeState> {
 impl CeEngine {
     /// Serialize the engine's complete mutable state. The program tree,
     /// lowered micro-op stream and CE configuration are not written —
-    /// the restoring machine is constructed with the identical program,
-    /// and interpreter frames are stored as `(pc, kind)` pairs whose
-    /// block references are rebuilt by walking the program tree.
+    /// the restoring machine is constructed with the identical program.
+    /// Only lowered engines are snapshotted (reference machines refuse
+    /// to checkpoint), so the interpreter's frame tree is never written.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.tag(b"CENG");
-        w.seq(self.frames.iter(), |w, f| {
-            w.usize(f.pc);
-            put_frame_kind(w, &f.kind);
+        let f = self
+            .flat
+            .as_ref()
+            .expect("only lowered engines are snapshotted");
+        w.u32(f.pc);
+        w.seq(f.frames.iter(), |w, fr| {
+            w.u32(fr.head);
+            w.u32(fr.end);
+            put_frame_kind(w, &fr.kind);
         });
-        w.opt(self.flat.as_ref(), |w, f| {
-            w.u32(f.pc);
-            w.seq(f.frames.iter(), |w, fr| {
-                w.u32(fr.head);
-                w.u32(fr.end);
-                put_frame_kind(w, &fr.kind);
-            });
-            w.bool(f.fire_pending);
-        });
+        w.bool(f.fire_pending);
         w.cycle(self.wake);
         w.u64s(&self.indices);
         put_ce_state(w, &self.state);
@@ -2466,81 +2467,36 @@ impl CeEngine {
         w.u64(self.stats.done_at);
     }
 
-    /// Restore state written by [`CeEngine::save_state`] into an engine
-    /// freshly constructed with the identical program and configuration.
-    /// Interpreter frame blocks are rebuilt by walking the loaded program
-    /// tree: a child frame can only exist after its parent dispatched the
-    /// loop op (which advances the parent pc first), so the child's block
-    /// is the body of the op at `parent.pc - 1`.
+    /// Restore state written by [`CeEngine::save_state`] into a lowered
+    /// engine freshly constructed with the identical program and
+    /// configuration.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
         r.tag(b"CENG")?;
-        let n_frames = r.len()?;
-        if n_frames == 0 {
-            return Err(r.err_mismatch("engine must hold at least the root frame"));
+        let flat = self
+            .flat
+            .as_mut()
+            .expect("only lowered engines are restored");
+        let n_uops = flat.prog.uops().len() as u32;
+        let pc = r.u32()?;
+        if pc > n_uops {
+            return Err(r.err_mismatch("flat pc beyond the micro-op stream"));
         }
-        self.frames.truncate(1);
-        self.frames[0].pc = r.usize()?;
-        self.frames[0].kind = get_frame_kind(r)?;
-        if !matches!(self.frames[0].kind, FrameKind::Root) {
-            return Err(r.err_mismatch("first engine frame is not the root frame"));
+        flat.pc = pc;
+        flat.frames = r.seq(|r| {
+            Ok(LFrame {
+                head: r.u32()?,
+                end: r.u32()?,
+                kind: get_frame_kind(r)?,
+            })
+        })?;
+        if flat
+            .frames
+            .iter()
+            .any(|fr| fr.head > n_uops || fr.end >= n_uops)
+        {
+            return Err(r.err_mismatch("flat loop frame beyond the micro-op stream"));
         }
-        if self.frames[0].pc > self.frames[0].block.len() {
-            return Err(r.err_mismatch("root frame pc beyond the program body"));
-        }
-        for _ in 1..n_frames {
-            let pc = r.usize()?;
-            let kind = get_frame_kind(r)?;
-            let parent = self.frames.last().expect("frames are non-empty");
-            let block = if parent.pc == 0 || parent.pc > parent.block.len() {
-                None
-            } else {
-                match &parent.block[parent.pc - 1] {
-                    Op::Repeat { body, .. } => Some(Arc::clone(body)),
-                    Op::SelfSchedLoop { body, .. } => Some(Arc::clone(body)),
-                    _ => None,
-                }
-            };
-            let Some(block) = block else {
-                return Err(r.err_mismatch("frame stack does not match the loaded program"));
-            };
-            if pc > block.len() {
-                return Err(r.err_mismatch("frame pc beyond its block"));
-            }
-            self.frames.push(Frame { block, pc, kind });
-        }
-        let had_flat = r.bool()?;
-        match (had_flat, self.flat.is_some()) {
-            (true, true) => {
-                let flat = self.flat.as_mut().expect("checked above");
-                let n_uops = flat.prog.uops().len() as u32;
-                let pc = r.u32()?;
-                if pc > n_uops {
-                    return Err(r.err_mismatch("flat pc beyond the micro-op stream"));
-                }
-                flat.pc = pc;
-                flat.frames = r.seq(|r| {
-                    Ok(LFrame {
-                        head: r.u32()?,
-                        end: r.u32()?,
-                        kind: get_frame_kind(r)?,
-                    })
-                })?;
-                if flat
-                    .frames
-                    .iter()
-                    .any(|fr| fr.head > n_uops || fr.end >= n_uops)
-                {
-                    return Err(r.err_mismatch("flat loop frame beyond the micro-op stream"));
-                }
-                flat.fire_pending = r.bool()?;
-            }
-            (false, false) => {}
-            _ => {
-                return Err(r.err_mismatch(
-                    "snapshot lowering state disagrees with this machine's lowering setup",
-                ));
-            }
-        }
+        flat.fire_pending = r.bool()?;
         self.wake = r.cycle()?;
         self.indices = r.u64s()?;
         self.state = get_ce_state(r)?;

@@ -302,21 +302,6 @@ pub struct MachineConfig {
     /// default; the `CEDAR_NO_FASTFWD` environment variable overrides it
     /// at run time (see `Machine::run`).
     pub fast_forward: bool,
-    /// Whether the omega networks run their flow-level fast path (SWAR
-    /// sparse switch sweeps plus O(1) replay of fully-stalled horizons)
-    /// instead of the dense per-flit oracle sweep. Purely a wall-clock
-    /// optimization: both paths are bit-for-bit identical (tested). `true`
-    /// by default; the `CEDAR_NO_FLOWPATH` environment variable overrides
-    /// it at machine construction.
-    pub flow_path: bool,
-    /// Whether CEs execute programs through the ahead-of-run lowering
-    /// pipeline ([`lower`](crate::lower)): flat micro-op streams with
-    /// fused timed runs and bulk stall charging, instead of the
-    /// tree-walking interpreter. Purely a wall-clock optimization: both
-    /// paths are bit-for-bit identical (tested). `true` by default; the
-    /// `CEDAR_NO_LOWER` environment variable overrides it at machine
-    /// construction, and enabling the VM model forces the interpreter.
-    pub lowered: bool,
     pub ce: CeConfig,
     pub cache: CacheConfig,
     pub cluster_memory: ClusterMemoryConfig,
@@ -362,8 +347,6 @@ impl MachineConfig {
             cycle_ns: CEDAR_CYCLE_NS,
             num_threads: 1,
             fast_forward: true,
-            flow_path: true,
-            lowered: true,
             ce: CeConfig::cedar(),
             cache: CacheConfig::cedar(),
             cluster_memory: ClusterMemoryConfig::cedar(),
@@ -410,20 +393,6 @@ impl MachineConfig {
     /// (equivalence tests run both ways and compare).
     pub fn with_fast_forward(mut self, fast_forward: bool) -> Self {
         self.fast_forward = fast_forward;
-        self
-    }
-
-    /// The same configuration with the network flow-level fast path
-    /// switched on or off (equivalence tests run both ways and compare).
-    pub fn with_flow_path(mut self, flow_path: bool) -> Self {
-        self.flow_path = flow_path;
-        self
-    }
-
-    /// The same configuration with program lowering switched on or off
-    /// (equivalence tests run both ways and compare).
-    pub fn with_lowered(mut self, lowered: bool) -> Self {
-        self.lowered = lowered;
         self
     }
 
@@ -558,8 +527,7 @@ impl Default for MachineConfig {
 // their historical `config::` paths.
 pub use crate::env::{
     checkpoint_every_from_env, checkpoint_path_from_env, fastfwd_disabled_from_env,
-    fault_seed_from_env, flowpath_disabled_from_env, lowered_disabled_from_env, parse_env_threads,
-    threads_from_env, trace_plan_from_env,
+    fault_seed_from_env, parse_env_threads, threads_from_env, trace_plan_from_env,
 };
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 //! policy with two tiers:
 //!
 //! * **Lenient** knobs steer pure wall-clock behaviour — thread counts,
-//!   the `CEDAR_NO_*` escape hatches. The simulated
+//!   the `CEDAR_NO_FASTFWD` escape hatch. The simulated
 //!   results are bit-for-bit identical whatever these are set to, so a
 //!   malformed value is never worth aborting a run over: the parser
 //!   prints a stderr warning naming the variable, the rejected value and
-//!   the fallback, and the configured behaviour stands. (`CEDAR_NO_*`
-//!   hatches are laxer still: anything but an affirmative value means
+//!   the fallback, and the configured behaviour stands. (The hatch is
+//!   laxer still: anything but an affirmative value means
 //!   "off", so a CI matrix can pass `0` for the default behaviour.)
 //! * **Strict** knobs change *observable output* — the fault seed and the
 //!   tracing plan select which experiment runs. Garbage there is a hard
@@ -180,34 +180,7 @@ pub fn checkpoint_path_from_env() -> Result<Option<std::path::PathBuf>, MachineE
 ///
 /// [`MachineConfig::fast_forward`]: crate::config::MachineConfig::fast_forward
 pub fn fastfwd_disabled_from_env() -> bool {
-    truthy_env("CEDAR_NO_FASTFWD")
-}
-
-/// True when the `CEDAR_NO_FLOWPATH` environment variable asks for the
-/// dense per-flit oracle sweep (`1`/`true`/`yes`, case-insensitive).
-/// Anything else — unset, `0`, garbage — leaves
-/// [`MachineConfig::flow_path`] in charge, so a CI matrix can pass `0`
-/// for the default behaviour. Mirrors `CEDAR_NO_FASTFWD`.
-///
-/// [`MachineConfig::flow_path`]: crate::config::MachineConfig::flow_path
-pub fn flowpath_disabled_from_env() -> bool {
-    truthy_env("CEDAR_NO_FLOWPATH")
-}
-
-/// True when the `CEDAR_NO_LOWER` environment variable asks for the
-/// tree-walking CE interpreter (`1`/`true`/`yes`, case-insensitive).
-/// Anything else — unset, `0`, garbage — leaves
-/// [`MachineConfig::lowered`] in charge, so a CI matrix can pass `0`
-/// for the default behaviour. Mirrors `CEDAR_NO_FLOWPATH`.
-///
-/// [`MachineConfig::lowered`]: crate::config::MachineConfig::lowered
-pub fn lowered_disabled_from_env() -> bool {
-    truthy_env("CEDAR_NO_LOWER")
-}
-
-/// The shared affirmative-flag parser behind the `CEDAR_NO_*` hatches.
-fn truthy_env(var: &str) -> bool {
-    std::env::var(var)
+    std::env::var("CEDAR_NO_FASTFWD")
         .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes"))
 }
 

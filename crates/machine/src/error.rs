@@ -35,6 +35,12 @@ pub enum MachineError {
     /// not match the machine's configuration. Restore never panics on bad
     /// bytes — it returns this.
     Snapshot(String),
+    /// A checkpoint, restore or resume was asked of a machine built by
+    /// `Machine::new_reference`, or its configuration asks for
+    /// auto-checkpointing. The reference is a test oracle: its snapshots
+    /// would need the tree-walking interpreter's frame stack, which the
+    /// format does not carry.
+    ReferenceCheckpoint,
 }
 
 /// Machine state captured by the forward-progress watchdog at the moment
@@ -144,6 +150,9 @@ impl fmt::Display for MachineError {
                 write!(f, "unrecoverable fault on {ce}: {reason}")
             }
             MachineError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
+            MachineError::ReferenceCheckpoint => {
+                write!(f, "reference machines cannot be checkpointed or restored")
+            }
         }
     }
 }
@@ -176,6 +185,7 @@ mod tests {
                 reason: "request seq 9 failed after 17 attempts".into(),
             },
             MachineError::Snapshot("payload checksum mismatch".into()),
+            MachineError::ReferenceCheckpoint,
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

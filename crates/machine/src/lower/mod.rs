@@ -28,7 +28,8 @@
 //! interpreter: same cycle counts, same per-cycle busy/stall/idle
 //! attribution, same packet issue cycles, same stats registries, memory
 //! digests and journey stamps, at every thread count, with fast-forward
-//! on or off, under faults and tracing. Two invariants carry the proof:
+//! on or off, under faults, tracing and the VM model. Two invariants
+//! carry the proof:
 //!
 //! 1. **Fusion only spans ops the interpreter executes back-to-back in
 //!    a continuous busy stall.** Every op folded into a timed run has
@@ -56,9 +57,11 @@
 //! Everything that touches the outside world — memory traffic, sync
 //! ops, barriers, prefetch, event posts — lowers 1:1 onto micro-ops
 //! that drive the *same* engine helpers as the interpreter, so the
-//! packet streams are identical by construction. The interpreter itself
-//! stays verbatim behind the default-on `MachineConfig::lowered` /
-//! `CEDAR_NO_LOWER` hatch as the differential oracle; `tests/lower.rs`
+//! packet streams are identical by construction; under the VM model
+//! they make the same TLB and page-table checks, in the same order.
+//! Lowering is the only production path: every `Machine::new` machine
+//! lowers. The interpreter stays verbatim as the differential reference,
+//! reachable only through `Machine::new_reference`; `tests/lower.rs`
 //! and the randomized program property test enforce the contract.
 
 use std::sync::Arc;

@@ -198,15 +198,14 @@ pub struct Machine {
     /// Host-side wall-clock self-profiler for the simulator's own tick
     /// phases; `None` (zero overhead beyond one branch) unless enabled.
     pub(crate) profiler: Option<Box<HostProfiler>>,
-    /// Whether CEs execute lowered micro-op streams this machine
-    /// ([`MachineConfig::lowered`] gated by the `CEDAR_NO_LOWER` hatch
-    /// and forced off under the VM model). Resolved once at
-    /// construction, like the network flow path.
-    pub(crate) lowered: bool,
+    /// Built by [`Machine::new_reference`]: the CEs run the tree-walking
+    /// interpreter and the networks the dense per-flit sweep, instead of
+    /// lowered micro-op streams and the flow path.
+    pub(crate) reference: bool,
     /// Static shape of the programs loaded by the most recent
     /// [`Machine::run`], summed over CEs (`None` before the first run).
-    /// Computed by the lowering pass in both modes, so the `program.*`
-    /// registry keys are identical with lowering on or off.
+    /// Computed by the lowering pass on reference machines too, so the
+    /// `program.*` registry keys are identical on both.
     pub(crate) program_meta: Option<crate::lower::LowerMeta>,
 }
 
@@ -340,13 +339,36 @@ impl StatKeys {
 }
 
 impl Machine {
-    /// Build a machine from a configuration.
+    /// Build a machine from a configuration. Its CEs execute lowered
+    /// micro-op streams and its networks run the flow path.
     ///
     /// # Errors
     ///
     /// Returns [`MachineError::InvalidConfig`] when the configuration is
     /// inconsistent.
     pub fn new(cfg: MachineConfig) -> Result<Machine> {
+        Machine::build(cfg, false)
+    }
+
+    /// Build the differential reference for `cfg`: tree-walking CEs and
+    /// per-flit networks, the straightforward models the lowered engine
+    /// and the flow path are tested against. Results are bit-for-bit
+    /// those of [`Machine::new`], only slower; it exists for tests, not
+    /// as a production mode. A reference machine cannot be
+    /// checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::new`], plus [`MachineError::ReferenceCheckpoint`]
+    /// when `cfg` asks for auto-checkpointing.
+    pub fn new_reference(cfg: MachineConfig) -> Result<Machine> {
+        if cfg.checkpoint_every != 0 || cfg.checkpoint_path.is_some() {
+            return Err(MachineError::ReferenceCheckpoint);
+        }
+        Machine::build(cfg, true)
+    }
+
+    fn build(cfg: MachineConfig, reference: bool) -> Result<Machine> {
         cfg.validate().map_err(MachineError::InvalidConfig)?;
         let ports = cfg.network_ports();
         let clusters = (0..cfg.clusters)
@@ -360,14 +382,13 @@ impl Machine {
                 tlb: Tlb::new(cfg.vm.tlb_entries),
             })
             .collect();
-        let mut forward = Omega::new(ports, &cfg.network);
-        let mut reverse = Omega::new(ports, &cfg.network);
-        // The flow path is a pure wall-clock optimization (bit-for-bit
-        // identical to the oracle sweep); the env hatch mirrors
-        // CEDAR_NO_FASTFWD so an equivalence matrix can force either side.
-        let flow_path = cfg.flow_path && !crate::config::flowpath_disabled_from_env();
-        forward.set_flow_path(flow_path);
-        reverse.set_flow_path(flow_path);
+        let omega = if reference {
+            Omega::new_reference
+        } else {
+            Omega::new
+        };
+        let mut forward = omega(ports, &cfg.network);
+        let mut reverse = omega(ports, &cfg.network);
         let fault_sched = cfg.faults.as_ref().filter(|p| p.enabled()).map(|plan| {
             let drop = u64::from(plan.drop_per_million);
             forward.enable_faults(plan.seed, SALT_FORWARD, drop, plan.nack_per_million.into());
@@ -403,12 +424,7 @@ impl Machine {
             profiler: None,
             now: Cycle::ZERO,
             ce_cfg: Arc::new(cfg.ce.clone()),
-            // Lowered execution is a pure wall-clock optimization
-            // (bit-for-bit identical to the interpreter); the env hatch
-            // mirrors CEDAR_NO_FLOWPATH. The VM model forces the
-            // interpreter: page faults interleave with dispatch in ways
-            // the fused timed runs deliberately do not model.
-            lowered: cfg.lowered && !crate::config::lowered_disabled_from_env() && !cfg.vm.enabled,
+            reference,
             program_meta: None,
             cfg,
         })
@@ -467,27 +483,10 @@ impl Machine {
         self.fastfwd_skipped
     }
 
-    /// Whether the flow-level network fast path is active in this machine
-    /// ([`MachineConfig::flow_path`] gated by the `CEDAR_NO_FLOWPATH`
-    /// escape hatch). Like the skip counter above, deliberately not part
-    /// of the stats registry: the snapshot must be identical either way.
-    pub fn flow_path_enabled(&self) -> bool {
-        self.forward.flow_path()
-    }
-
-    /// Whether CEs execute compiled micro-op streams in this machine
-    /// ([`MachineConfig::lowered`] gated by the `CEDAR_NO_LOWER` escape
-    /// hatch, and forced off when VM modelling is enabled). Like the
-    /// flow-path flag above, deliberately not part of the stats
-    /// registry: the snapshot must be identical either way.
-    pub fn lowered_enabled(&self) -> bool {
-        self.lowered
-    }
-
     /// Static shape of the programs loaded by the most recent
     /// [`run`](Machine::run) (op/micro-op/fusion counts summed over CEs,
-    /// max loop depth), computed by the lowering pass whether or not the
-    /// lowered path executes. `None` before the first run. Also exported
+    /// max loop depth), computed by the lowering pass on reference
+    /// machines too. `None` before the first run. Also exported
     /// through the `program.*` stats keys.
     pub fn program_meta(&self) -> Option<crate::lower::LowerMeta> {
         self.program_meta
@@ -495,7 +494,7 @@ impl Machine {
 
     /// Fully-stalled network ticks the flow path settled by replaying its
     /// cached stall charge instead of re-walking every queue, summed over
-    /// both directions. Zero when the flow path is off; the equivalence
+    /// both directions. Always zero on a reference machine; the equivalence
     /// tests use it to prove the fast path actually ran.
     pub fn flow_stall_replays(&self) -> u64 {
         self.forward.stall_replays() + self.reverse.stall_replays()
@@ -718,8 +717,8 @@ impl Machine {
         s.set("prefetch.inject_stall_cycles", pf.inject_stall_cycles);
         s.set_histogram("prefetch.latency", Arc::clone(&self.latency_histogram));
 
-        // Static program shape, computed by the lowering pass whether or
-        // not the lowered path executes (identical registries both ways).
+        // Static program shape, computed by the lowering pass on reference
+        // machines too (identical registries both ways).
         // Absent before the first run so pre-load snapshots stay
         // byte-identical to earlier releases.
         if let Some(pm) = self.program_meta {
@@ -847,9 +846,9 @@ impl Machine {
         // instead of cancelling against the previous run's values.
         self.program_meta = None;
         // Compile each distinct program once (CEs loaded with the same
-        // shared block reuse the compilation). Lowering runs in both
-        // modes — the interpreter still wants the static metadata — but
-        // only a lowered machine hands the engines the compiled stream.
+        // shared block reuse the compilation). A reference machine lowers
+        // too — it still wants the static metadata — but keeps its
+        // engines on the tree-walking interpreter.
         let mut lower_cache: Vec<(usize, Arc<crate::lower::LProgram>)> = Vec::new();
         let mut meta = crate::lower::LowerMeta::default();
         for (ce, program) in programs {
@@ -876,7 +875,7 @@ impl Machine {
                 &self.cfg,
                 Arc::clone(&self.ce_cfg),
                 program,
-                self.lowered.then_some(lp),
+                (!self.reference).then_some(lp),
             ));
         }
 

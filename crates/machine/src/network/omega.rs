@@ -377,12 +377,13 @@ pub struct Omega {
     stage_blocked: [u64; MAX_STAGES],
     /// Distribution of stage-queue depths observed after each word push.
     queue_depth: Histogrammer,
-    /// Flow-level fast path on (the default): streams advance through the
-    /// SWAR sparse sweep and fully-stalled horizons replay their cached
-    /// per-tick stall charge in O(1). Off (`CEDAR_NO_FLOWPATH`): the
-    /// dense per-flit oracle sweep runs instead. Both produce bit-for-bit
-    /// identical state, stats and delivery schedules.
-    flow_path: bool,
+    /// Off (every [`Omega::new`] network): streams advance through the
+    /// flow path's SWAR sparse sweep and fully-stalled horizons replay
+    /// their cached per-tick stall charge in O(1). On (only
+    /// [`Omega::new_reference`]): the dense per-flit sweep runs instead,
+    /// the differential reference the tests hold the flow path to. Both
+    /// produce bit-for-bit identical state, stats and delivery schedules.
+    reference: bool,
     /// Cached stall signature of the previous flow-path tick: `Some` when
     /// that tick charged blocks/losses but moved nothing, in which case an
     /// unchanged network replays the same charge without re-sweeping.
@@ -466,7 +467,7 @@ impl Omega {
             stage_conflicts: [0; MAX_STAGES],
             stage_blocked: [0; MAX_STAGES],
             queue_depth: Histogrammer::with_bins(RING_CAP + 1),
-            flow_path: true,
+            reference: false,
             stall: None,
             stall_replays: 0,
             faults: None,
@@ -474,22 +475,23 @@ impl Omega {
         }
     }
 
-    /// Enable or disable the flow-level fast path (on by default). Off,
-    /// every tick runs the dense per-flit oracle sweep. The two paths are
-    /// bit-for-bit equivalent; the hatch exists so the equivalence is a
-    /// machine-checked invariant, not a hope.
-    pub fn set_flow_path(&mut self, on: bool) {
-        self.flow_path = on;
-        self.stall = None;
-    }
-
-    /// Whether the flow-level fast path is enabled.
-    pub fn flow_path(&self) -> bool {
-        self.flow_path
+    /// A network that runs the dense per-flit sweep on every tick instead
+    /// of the flow path: the reference the equivalence tests compare the
+    /// flow path against (see `Machine::new_reference`). Not a production
+    /// mode.
+    ///
+    /// # Panics
+    ///
+    /// As [`Omega::new`].
+    pub fn new_reference(ports: usize, cfg: &NetworkConfig) -> Omega {
+        Omega {
+            reference: true,
+            ..Omega::new(ports, cfg)
+        }
     }
 
     /// Ticks replayed in O(1) from a cached stall charge since
-    /// construction (zero with the flow path off).
+    /// construction (always zero on a reference network).
     pub fn stall_replays(&self) -> u64 {
         self.stall_replays
     }
@@ -716,17 +718,17 @@ impl Omega {
     /// Advance the network one cycle under a sink-acceptance `epoch`: a
     /// value the caller changes whenever any [`NetSink::try_begin`] answer
     /// may have changed since the previous tick (and otherwise keeps
-    /// constant). With the flow path on, a tick that moved nothing — every
+    /// constant). On the flow path, a tick that moved nothing — every
     /// stream stalled behind flow control or a refusing sink — caches its
     /// stat charge, and subsequent ticks at the same epoch with no
     /// intervening injection or fault event replay it in O(1) instead of
     /// re-arbitrating every switch. The replayed charge is exactly what
-    /// the oracle sweep would have recomputed, bit for bit.
+    /// the reference sweep would have recomputed, bit for bit.
     pub fn tick_epoch<S: NetSink + ?Sized>(&mut self, sink: &mut S, epoch: u64) {
         if self.in_flight == 0 {
             return; // nothing anywhere in the network
         }
-        if !self.flow_path {
+        if self.reference {
             self.sweep(sink);
             return;
         }
@@ -769,7 +771,7 @@ impl Omega {
     }
 
     /// One full cycle of the per-flit sweep: up to `words_per_cycle`
-    /// passes, then injection. Shared by the oracle path and the flow
+    /// passes, then injection. Shared by the reference and the flow
     /// path's non-stalled ticks (the flow path differs per switch, not in
     /// the pass structure).
     fn sweep<S: NetSink + ?Sized>(&mut self, sink: &mut S) {
@@ -917,7 +919,7 @@ impl Omega {
         // The flow path's SWAR sweep reads a switch's cached fronts as one
         // word; it needs the full radix-8 byte lane. Other radices run the
         // (identical) dense per-line scan.
-        let swar = self.flow_path && self.radix == 8;
+        let swar = !self.reference && self.radix == 8;
         for stage in (0..self.stages).rev() {
             if self.stage_words[stage] == 0 {
                 continue; // no queued words anywhere in this stage

@@ -579,7 +579,7 @@ impl Machine {
             barriers,
             profiler,
             ce_wake,
-            lowered,
+            reference,
             ..
         } = self;
         let forward: &mut Omega = forward;
@@ -592,7 +592,7 @@ impl Machine {
                 // Lowered, before the engine's wake cycle: one cycle of
                 // attribution, no context plumbing.
                 let cluster = &mut clusters[e.cluster().0];
-                if !(*lowered && e.try_quick_tick(now, &cluster.ccbus)) {
+                if *reference || !e.try_quick_tick(now, &cluster.ccbus) {
                     let mut ctx = CeContext {
                         forward: &mut *forward,
                         cache: &mut cluster.cache,

@@ -167,7 +167,6 @@ impl Machine {
         w.bool(cfg.vm.enabled);
         w.bool(cfg.faults.as_ref().is_some_and(|p| p.enabled()));
         w.bool(cfg.trace.as_ref().is_some_and(|p| p.enabled()));
-        w.bool(self.lowered_enabled());
         w.cycle(self.now);
         w.u64(self.fastfwd_skipped);
         w.u64(self.next_sync_slot);
@@ -232,8 +231,18 @@ impl Machine {
     }
 
     /// The snapshot image of this machine between runs.
-    fn image(&self) -> Vec<u8> {
-        self.write_image(Vec::new(), None)
+    fn image(&self) -> Result<Vec<u8>> {
+        self.refuse_reference()?;
+        Ok(self.write_image(Vec::new(), None))
+    }
+
+    /// The snapshot format carries the lowered engine's state only, so a
+    /// reference machine neither writes nor reads images.
+    fn refuse_reference(&self) -> Result<()> {
+        if self.reference {
+            return Err(MachineError::ReferenceCheckpoint);
+        }
+        Ok(())
     }
 
     /// Serialize the complete machine state to `w` as a versioned,
@@ -246,9 +255,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`MachineError::Snapshot`] when writing to `w` fails.
+    /// [`MachineError::Snapshot`] when writing to `w` fails, and
+    /// [`MachineError::ReferenceCheckpoint`] on a reference machine.
     pub fn checkpoint<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
-        w.write_all(&self.image())
+        w.write_all(&self.image()?)
             .map_err(|e| MachineError::Snapshot(format!("write: {e}")))
     }
 
@@ -258,9 +268,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`MachineError::Snapshot`] on any I/O failure.
+    /// [`MachineError::Snapshot`] on any I/O failure, and
+    /// [`MachineError::ReferenceCheckpoint`] on a reference machine.
     pub fn checkpoint_to(&self, path: &Path) -> Result<()> {
-        write_snapshot_file(path, &self.image())
+        write_snapshot_file(path, &self.image()?)
     }
 
     /// Restore this machine's complete mutable state from a snapshot image
@@ -275,7 +286,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`MachineError::Snapshot`] on any read, validation or decode
-    /// failure. The machine may be partially overwritten when a decode
+    /// failure, and [`MachineError::ReferenceCheckpoint`] on a reference
+    /// machine. The machine may be partially overwritten when a decode
     /// fails mid-payload; restore onto a scratch machine when that
     /// matters.
     pub fn restore<R: std::io::Read>(&mut self, r: &mut R) -> Result<()> {
@@ -349,6 +361,7 @@ impl Machine {
     /// returning the embedded run context when the snapshot was taken
     /// mid-run.
     pub(crate) fn load_image(&mut self, image: &[u8]) -> Result<Option<ResumeCtx>> {
+        self.refuse_reference()?;
         let payload = read_payload(image)?;
         let mut r = SnapReader::new(payload);
         let ctx = self.load_payload(&mut r)?;
@@ -383,7 +396,7 @@ impl Machine {
                     .into());
             }
         }
-        let flags: [(&str, bool, bool); 4] = [
+        let flags: [(&str, bool, bool); 3] = [
             ("VM modelling", r.bool()?, cfg.vm.enabled),
             (
                 "fault injection",
@@ -395,7 +408,6 @@ impl Machine {
                 r.bool()?,
                 cfg.trace.as_ref().is_some_and(|p| p.enabled()),
             ),
-            ("lowered execution", r.bool()?, self.lowered_enabled()),
         ];
         for (what, snap, here) in flags {
             if snap != here {

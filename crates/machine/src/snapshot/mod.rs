@@ -5,8 +5,8 @@
 //! and statistic that the tick loop can touch — taken mid-run and
 //! restorable onto a freshly constructed machine with the same
 //! configuration and programs. The determinism work (bit-identical
-//! results across threads × fast-forward × flow path × lowering × faults
-//! × tracing) extends to restored runs: a run killed at an
+//! results across threads × fast-forward × faults × tracing) extends to
+//! restored runs: a run killed at an
 //! arbitrary cycle and resumed from its last checkpoint finishes with the
 //! same fingerprint, memory digest, stats tree and report as the
 //! uninterrupted run. `tests/snapshot.rs` is the proof harness.
@@ -15,7 +15,7 @@
 //! writes exactly one format, [`SNAPSHOT_VERSION`], and rejects every
 //! other version by name. Keep results, not snapshots, across upgrades.
 //!
-//! ## Wire format (version 2)
+//! ## Wire format (version 3)
 //!
 //! ```text
 //! magic   [8]  b"CEDARSNP"
@@ -79,6 +79,12 @@
 //! [`MachineError::Snapshot`]. **A crash loses at most the in-flight
 //! checkpoint; the visible file is always complete.**
 //!
+//! Engines are written as the lowered engine's state: flat program
+//! counter, flat loop frames, wake cycle. A machine built by
+//! `Machine::new_reference` runs the tree-walking interpreter, whose
+//! frame stack the format does not carry, so it refuses to checkpoint
+//! or restore ([`MachineError::ReferenceCheckpoint`]).
+//!
 //! What is deliberately *not* captured: configuration-derived immutable
 //! tables (network routing/shuffle tables, stat-key formatting caches,
 //! lowered program streams), derived indexes that the restore rebuilds
@@ -108,7 +114,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CEDARSNP";
 /// The one snapshot format this build reads and writes. Bumped on any
 /// layout change; a mismatch is a structured restore error, never a
 /// misparse.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Bytes of header in front of the payload (magic, version, length,
 /// checksum).
@@ -1140,7 +1146,7 @@ mod tests {
     #[test]
     fn other_versions_are_rejected_naming_both() {
         let image = image_of(|w| w.splice(b"abc"));
-        for other in [1u32, SNAPSHOT_VERSION + 1] {
+        for other in (1..SNAPSHOT_VERSION).chain([SNAPSHOT_VERSION + 1]) {
             let mut stamped = image.clone();
             stamped[8..12].copy_from_slice(&other.to_le_bytes());
             let e = read_payload(&stamped).unwrap_err().to_string();

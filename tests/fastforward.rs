@@ -264,20 +264,13 @@ fn skip_counts_hold_their_floors() {
             .build(m, 4)
         })
     };
-    // The interpreter ends a wait at every op boundary that lowering
-    // fuses into one timed run, so it has less to skip.
-    let trfd_floor = if cedar_machine::config::lowered_disabled_from_env() {
-        92_322
-    } else {
-        93_601
-    };
     let runs: [(&str, u64, Fingerprint); 4] = [
         (
             "table1 GM/no-pref",
             9,
             run_rank64(Rank64Version::GmNoPrefetch, true, 1),
         ),
-        ("perfect TRFD", trfd_floor, run_perfect(true, 1)),
+        ("perfect TRFD", 93_601, run_perfect(true, 1)),
         ("barrier storm", 80_020, run_barrier_storm(true, 1)),
         ("faulty GM/pref", 3_914, faulty()),
     ];

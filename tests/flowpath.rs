@@ -1,139 +1,60 @@
 //! Equivalence battery for the flow-level network fast path.
 //!
-//! The flow path (`MachineConfig::flow_path`, on by default) advances
-//! steady-state wormhole streams through the omega networks without the
-//! dense per-flit bookkeeping: radix-8 switches arbitrate all eight
-//! outputs in one SWAR pass, only busy switches are visited, and a tick
-//! in which every stream is stalled replays its cached stat charge in
-//! O(1) instead of re-walking every queue. Its contract is *bit-for-bit*
-//! equivalence with the per-flit oracle sweep (kept behind the
-//! `CEDAR_NO_FLOWPATH` escape hatch): the same cycle count, the same
-//! memory digest, the same full stats registry — including the `net.*`
-//! counter and histogram trees, per-stage conflict/blocked vectors and
-//! queue-depth bins — at every thread count, with fast-forward on or
-//! off, under fault injection, and under journey tracing.
+//! The flow path advances steady-state wormhole streams through the
+//! omega networks of every `Machine::new` machine without the dense
+//! per-flit bookkeeping: radix-8 switches arbitrate all eight outputs in
+//! one SWAR pass, only busy switches are visited, and a tick in which
+//! every stream is stalled replays its cached stat charge in O(1)
+//! instead of re-walking every queue. Its contract is *bit-for-bit*
+//! equivalence with the per-flit sweep, kept as the reference that
+//! `Omega::new_reference` and `Machine::new_reference` build: the same
+//! cycle count, the same memory digest, the same full stats registry —
+//! including the `net.*` counter and histogram trees, per-stage
+//! conflict/blocked vectors and queue-depth bins — at every thread
+//! count, with fast-forward on or off, under fault injection, and under
+//! journey tracing.
 //!
-//! These tests pin that contract on the paper's Table 1 rows and on a
+//! `lower.rs` holds the whole engine to the whole reference at four
+//! clusters; these tests cover the network-bound rows at one to three
+//! clusters, the direct-load traffic the network sees most of, and a
 //! synthetic full-stall scenario that proves the replay path actually
-//! runs. The randomized cross-check against the oracle on arbitrary
+//! runs. The randomized cross-check against the reference on arbitrary
 //! traffic lives in `properties.rs`.
 
-use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
+use cedar_integration::{
+    assert_journeys_match_reference, assert_matches_reference, machine, rank64_fingerprint,
+    Fingerprint, LIMIT,
+};
+use cedar_kernels::staged::rank64::Rank64Version;
 use cedar_machine::config::NetworkConfig;
 use cedar_machine::ids::CeId;
-use cedar_machine::machine::Machine;
 use cedar_machine::memory::sync::SyncInstr;
 use cedar_machine::network::packet::{MemRequest, Packet, Payload, RequestKind, Stream};
 use cedar_machine::network::{NetSink, Omega};
 use cedar_machine::program::{AddressExpr, Op, ProgramBuilder};
-use cedar_machine::stats::export::{chrome_trace_with_journeys, flat_text};
 use cedar_machine::time::Cycle;
-use cedar_machine::{FaultPlan, MachineConfig, MachineStats, TracePlan};
+use cedar_machine::{FaultPlan, MachineConfig, TracePlan};
 
-const LIMIT: u64 = 1_000_000_000;
-
-/// `CEDAR_NO_FLOWPATH=1` (a CI matrix leg) overrides the config flag, so
-/// "flow path on" runs silently fall back to the oracle. The equivalence
-/// assertions must hold on every leg; the "actually ran" assertions only
-/// apply when the fast path is possible at all.
-fn flow_possible() -> bool {
-    !cedar_machine::config::flowpath_disabled_from_env()
-}
-
-/// Everything a run can leak about its execution, plus how many stalled
-/// network ticks the flow path settled by replay while producing it.
-struct Fingerprint {
-    cycles: u64,
-    memory: u64,
-    stats: MachineStats,
-    replays: u64,
-}
-
-/// Compare a flow-path run against the per-flit oracle baseline, with a
-/// readable counter diff on mismatch.
-fn assert_equivalent(label: &str, base: &Fingerprint, got: &Fingerprint) {
-    assert_eq!(
-        base.cycles, got.cycles,
-        "{label}: flow-path run took {} cycles, oracle took {}",
-        got.cycles, base.cycles
-    );
-    assert_eq!(
-        base.memory, got.memory,
-        "{label}: flow-path run left different memory state"
-    );
-    if base.stats != got.stats {
-        let oracle = flat_text(&base.stats);
-        let flow = flat_text(&got.stats);
-        let diff: Vec<String> = oracle
-            .lines()
-            .zip(flow.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  oracle:    {a}\n  flow path: {b}"))
-            .collect();
-        panic!(
-            "{label}: flow-path stats tree differs from the oracle:\n{}",
-            diff.join("\n")
-        );
-    }
-}
-
-fn fingerprint_rank64(
-    version: Rank64Version,
-    flow: bool,
-    fast_forward: bool,
-    threads: usize,
-    faults: Option<FaultPlan>,
-    trace: Option<TracePlan>,
-) -> Fingerprint {
-    let clusters = 4;
-    let mut cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
-        .with_fast_forward(fast_forward)
-        .with_flow_path(flow);
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan);
-    }
-    if let Some(plan) = trace {
-        cfg = cfg.with_trace(plan);
-    }
-    let mut m = Machine::new(cfg).unwrap();
-    let progs = Rank64 {
-        n: 64,
-        k: 64,
-        version,
-    }
-    .build(&mut m, clusters);
-    let r = m.run(progs, LIMIT).unwrap();
-    Fingerprint {
-        cycles: r.cycles,
-        memory: m.memory_digest(),
-        stats: r.stats,
-        replays: m.flow_stall_replays(),
-    }
-}
-
-/// Every Table 1 memory version produces a bit-identical fingerprint with
-/// the flow path on — serially and in the parallel engine, with the
-/// event-horizon fast-forward on and off (the two fast paths compose).
+/// The two network-bound Table 1 rows at two and three clusters —
+/// where the omega load differs from the four-cluster rows `lower.rs`
+/// covers — produce the reference's fingerprint on two lanes
+/// (`lower.rs` covers one thread, and the cache-bound row).
 #[test]
 fn table1_rows_match_with_flow_path_on() {
     for version in [
         Rank64Version::GmNoPrefetch,
         Rank64Version::GmPrefetch { block_words: 32 },
-        Rank64Version::GmCache,
     ] {
-        let label = format!("table1 {version:?}");
-        let base = fingerprint_rank64(version, false, false, 1, None, None);
-        assert_eq!(base.replays, 0, "{label}: oracle must not replay");
-        for threads in [1, 4] {
-            for fast_forward in [false, true] {
-                let got = fingerprint_rank64(version, true, fast_forward, threads, None, None);
-                assert_equivalent(
-                    &format!("{label} x{threads} threads, fast-forward {fast_forward}"),
-                    &base,
-                    &got,
-                );
-            }
+        for clusters in 2..=3 {
+            let cfg = MachineConfig::cedar_with_clusters(clusters);
+            let base = rank64_fingerprint(cfg.clone(), version, true);
+            assert_eq!(base.replays, 0, "the reference must not replay");
+            let got = rank64_fingerprint(cfg.with_threads(2), version, false);
+            assert_matches_reference(
+                &format!("table1 {version:?} {clusters} clusters x2 threads"),
+                &base,
+                &got,
+            );
         }
     }
 }
@@ -143,16 +64,16 @@ fn table1_rows_match_with_flow_path_on() {
 /// so the fault-site sequence counters stay aligned.
 #[test]
 fn flow_path_matches_oracle_under_fault_injection() {
-    let plan = FaultPlan {
+    let cfg = MachineConfig::cedar_with_clusters(4).with_faults(FaultPlan {
         drop_per_million: 2_000,
         nack_per_million: 1_000,
         ..FaultPlan::none(0xCEDA)
-    };
-    let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = fingerprint_rank64(version, false, true, 1, Some(plan.clone()), None);
+    });
+    let version = Rank64Version::GmNoPrefetch;
+    let base = rank64_fingerprint(cfg.clone(), version, true);
     for threads in [1, 4] {
-        let got = fingerprint_rank64(version, true, true, threads, Some(plan.clone()), None);
-        assert_equivalent(&format!("faulty rank64 x{threads} threads"), &base, &got);
+        let got = rank64_fingerprint(cfg.clone().with_threads(threads), version, false);
+        assert_matches_reference(&format!("faulty rank64 x{threads} threads"), &base, &got);
     }
 }
 
@@ -162,16 +83,16 @@ fn flow_path_matches_oracle_under_fault_injection() {
 /// the per-flit schedule.
 #[test]
 fn flow_path_matches_oracle_under_tracing() {
-    let version = Rank64Version::GmCache;
+    let version = Rank64Version::GmNoPrefetch;
     for sample_ppm in [0, 10_000] {
-        let plan = TracePlan {
+        let cfg = MachineConfig::cedar_with_clusters(4).with_trace(TracePlan {
             seed: 0xCEDA,
             sample_ppm,
-        };
-        let base = fingerprint_rank64(version, false, true, 1, None, Some(plan));
+        });
+        let base = rank64_fingerprint(cfg.clone(), version, true);
         for threads in [1, 4] {
-            let got = fingerprint_rank64(version, true, true, threads, None, Some(plan));
-            assert_equivalent(
+            let got = rank64_fingerprint(cfg.clone().with_threads(threads), version, false);
+            assert_matches_reference(
                 &format!("traced rank64 ppm={sample_ppm} x{threads} threads"),
                 &base,
                 &got,
@@ -180,53 +101,12 @@ fn flow_path_matches_oracle_under_tracing() {
     }
 }
 
-/// Journey hop timestamps inside bulk-advanced streams equal the per-flit
-/// schedule exactly: the raw trace-event streams are element-for-element
-/// identical, and so is the full Chrome export with journeys attached —
-/// no collapsed or reordered `TraceEvent`s.
+/// Journey hop timestamps inside bulk-advanced streams equal the
+/// per-flit schedule exactly, on cache-line fills (`lower.rs` covers the
+/// prefetch streams).
 #[test]
 fn journey_hop_stamps_survive_bulk_advance() {
-    let run = |flow: bool| {
-        let clusters = 4;
-        let cfg = MachineConfig::cedar_with_clusters(clusters)
-            .with_flow_path(flow)
-            .with_trace(TracePlan {
-                seed: 0xCEDA,
-                sample_ppm: 1_000_000,
-            });
-        let mut m = Machine::new(cfg).unwrap();
-        let progs = Rank64 {
-            n: 64,
-            k: 64,
-            version: Rank64Version::GmPrefetch { block_words: 32 },
-        }
-        .build(&mut m, clusters);
-        let r = m.run(progs, LIMIT).unwrap();
-        (r.stats, m)
-    };
-    let (oracle_stats, oracle) = run(false);
-    let (flow_stats, flow) = run(true);
-
-    let base = oracle.trace_events();
-    let got = flow.trace_events();
-    assert!(!base.is_empty(), "full sampling must catch journeys");
-    assert_eq!(base.len(), got.len(), "trace event count drifted");
-    if let Some(i) = (0..base.len()).find(|&i| base[i] != got[i]) {
-        panic!(
-            "trace stream diverges at event {i}:\n  oracle:    {:?}\n  flow path: {:?}",
-            base[i], got[i]
-        );
-    }
-    assert_eq!(
-        chrome_trace_with_journeys(
-            oracle.timeline(),
-            &oracle_stats,
-            170.0,
-            &oracle.trace_journeys()
-        ),
-        chrome_trace_with_journeys(flow.timeline(), &flow_stats, 170.0, &flow.trace_journeys()),
-        "Chrome export with journeys drifted under the flow path"
-    );
+    assert_journeys_match_reference(4, Rank64Version::GmCache);
 }
 
 /// A sink whose acceptance is an explicit mask, recording each delivery
@@ -269,7 +149,7 @@ fn stall_packet(dst: usize, addr: u64) -> Packet {
 
 /// A long full-stall window (every stream blocked on a refusing sink) is
 /// settled by O(1) replay — and the replayed stat charge, the eventual
-/// deliveries and the final registry are bit-identical to the oracle
+/// deliveries and the final registry are bit-identical to the reference
 /// grinding through the same window per flit.
 #[test]
 fn full_stall_window_replays_and_matches_the_oracle() {
@@ -278,9 +158,12 @@ fn full_stall_window_replays_and_matches_the_oracle() {
         queue_words: 2,
         words_per_cycle: 2,
     };
-    let run = |flow: bool| {
-        let mut net = Omega::new(32, &cfg);
-        net.set_flow_path(flow);
+    let run = |reference: bool| {
+        let mut net = if reference {
+            Omega::new_reference(32, &cfg)
+        } else {
+            Omega::new(32, &cfg)
+        };
         let size = net.size();
         let mut sink = GateSink {
             accepting: false,
@@ -316,14 +199,14 @@ fn full_stall_window_replays_and_matches_the_oracle() {
         );
         (sink.delivered, fingerprint, net.stall_replays())
     };
-    let (oracle_deliveries, oracle_fp, oracle_replays) = run(false);
-    let (flow_deliveries, flow_fp, flow_replays) = run(true);
-    assert_eq!(oracle_replays, 0, "oracle must never replay");
+    let (ref_deliveries, ref_fp, ref_replays) = run(true);
+    let (flow_deliveries, flow_fp, flow_replays) = run(false);
+    assert_eq!(ref_replays, 0, "the reference must never replay");
     assert_eq!(
-        oracle_deliveries, flow_deliveries,
+        ref_deliveries, flow_deliveries,
         "delivery schedule drifted under the flow path"
     );
-    assert_eq!(oracle_fp, flow_fp, "stat fingerprint drifted");
+    assert_eq!(ref_fp, flow_fp, "stat fingerprint drifted");
     assert!(
         flow_replays >= 50,
         "a 60-cycle full stall should be mostly replayed, got {flow_replays} replays"
@@ -337,15 +220,12 @@ fn full_stall_window_replays_and_matches_the_oracle() {
 /// lands every other tick; synchronization ops cost 4 cycles, so all 32
 /// CEs fetch-adding distinct words of a single bank open pop gaps wide
 /// enough for whole-network stalls to repeat. The machine must produce
-/// the oracle's exact fingerprint while demonstrably taking the replay
-/// path in anger.
+/// the reference's exact fingerprint while demonstrably taking the
+/// replay path in anger.
 #[test]
 fn flow_path_replays_under_single_bank_sync_hammering() {
-    let run = |flow: bool| {
-        let cfg = MachineConfig::cedar()
-            .with_fast_forward(false)
-            .with_flow_path(flow);
-        let mut m = Machine::new(cfg).unwrap();
+    let run = |reference: bool| {
+        let mut m = machine(MachineConfig::cedar().with_fast_forward(false), reference);
         let progs = (0..m.config().total_ces())
             .map(|ce| {
                 let mut b = ProgramBuilder::new();
@@ -361,21 +241,14 @@ fn flow_path_replays_under_single_bank_sync_hammering() {
             })
             .collect();
         let r = m.run(progs, LIMIT).unwrap();
-        Fingerprint {
-            cycles: r.cycles,
-            memory: m.memory_digest(),
-            stats: r.stats,
-            replays: m.flow_stall_replays(),
-        }
+        Fingerprint::of(&m, r)
     };
-    let base = run(false);
+    let base = run(true);
     assert_eq!(base.replays, 0);
-    let got = run(true);
-    assert_equivalent("single-bank sync hammer", &base, &got);
-    if flow_possible() {
-        assert!(
-            got.replays > 0,
-            "a single-bank sync hammer should hit full-stall windows"
-        );
-    }
+    let got = run(false);
+    assert_matches_reference("single-bank sync hammer", &base, &got);
+    assert!(
+        got.replays > 0,
+        "a single-bank sync hammer should hit full-stall windows"
+    );
 }

@@ -63,14 +63,17 @@ impl NetSink for MaskedSink {
 /// every observable stat: the counter struct, per-stage conflict and
 /// blocked vectors, queue-depth histogram bins and in-flight count.
 fn run_random_traffic(
-    flow: bool,
+    reference: bool,
     seed: u64,
     cycles: u64,
     ports: usize,
     cfg: &NetworkConfig,
 ) -> (Vec<(u64, usize, u64)>, String, u64) {
-    let mut net = Omega::new(ports, cfg);
-    net.set_flow_path(flow);
+    let mut net = if reference {
+        Omega::new_reference(ports, cfg)
+    } else {
+        Omega::new(ports, cfg)
+    };
     let size = net.size();
     let mut sink = MaskedSink {
         refuse_mask: 0,
@@ -134,12 +137,12 @@ fn run_random_traffic(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The flow-level fast path is byte-identical to the per-flit oracle
-    /// sweep on arbitrary omega traffic: same delivery schedule (tick,
-    /// port and payload of every arrival), same `net.*` counters, same
-    /// per-stage conflict/blocked vectors, same queue-depth histogram
-    /// bins — across radices, queue depths, burst lengths, contention
-    /// and sink backpressure. The oracle never replays; the flow path
+    /// The flow-level fast path is byte-identical to the per-flit
+    /// reference sweep on arbitrary omega traffic: same delivery schedule
+    /// (tick, port and payload of every arrival), same `net.*` counters,
+    /// same per-stage conflict/blocked vectors, same queue-depth
+    /// histogram bins — across radices, queue depths, burst lengths,
+    /// contention and sink backpressure. The reference never replays; the flow path
     /// may, and must charge exactly the same stats when it does.
     #[test]
     fn flow_path_is_bit_identical_to_the_per_flit_oracle(
@@ -151,10 +154,10 @@ proptest! {
     ) {
         let cfg = NetworkConfig { radix, queue_words, words_per_cycle };
         let (oracle_deliveries, oracle_fp, oracle_replays) =
-            run_random_traffic(false, seed, 400, ports, &cfg);
-        let (flow_deliveries, flow_fp, _) =
             run_random_traffic(true, seed, 400, ports, &cfg);
-        prop_assert_eq!(oracle_replays, 0, "the oracle must never replay");
+        let (flow_deliveries, flow_fp, _) =
+            run_random_traffic(false, seed, 400, ports, &cfg);
+        prop_assert_eq!(oracle_replays, 0, "the reference must never replay");
         prop_assert_eq!(oracle_deliveries, flow_deliveries);
         prop_assert_eq!(oracle_fp, flow_fp);
     }
@@ -667,20 +670,14 @@ impl RandomRun {
     }
 }
 
-/// One full-machine run of a seeded random program mix: every CE gets
-/// its own generated program, self-scheduled loops share two global
-/// counters, its cluster's bus counter and an SDOALL counter with the
-/// other CEs, and every CE meets its cluster at a bus barrier and then
-/// the whole machine at a global barrier at the end.
-fn run_random_programs(seed: u64, lowered: bool, threads: usize) -> RandomRun {
-    let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
-        .with_threads(threads)
-        .with_lowered(lowered);
-    run_random_programs_on(seed, cfg)
-}
-
-fn run_random_programs_on(seed: u64, cfg: cedar_machine::MachineConfig) -> RandomRun {
-    let mut m = Machine::new(cfg).unwrap();
+/// One full-machine run of a seeded random program mix on the machine
+/// `cfg` builds (the reference with `reference`): every CE gets its own
+/// generated program, self-scheduled loops share two global counters, its
+/// cluster's bus counter and an SDOALL counter with the other CEs, and
+/// every CE meets its cluster at a bus barrier and then the whole machine
+/// at a global barrier at the end.
+fn run_random_programs(seed: u64, cfg: cedar_machine::MachineConfig, reference: bool) -> RandomRun {
+    let mut m = cedar_integration::machine(cfg, reference);
     let (clusters, cpc) = (m.config().clusters, m.config().ces_per_cluster);
     let shared = [
         m.alloc_counter(CounterScope::Global),
@@ -723,20 +720,24 @@ proptest! {
     // Two machine runs per case; the generated programs are short.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The lowering pipeline is byte-identical to the tree-walking
-    /// interpreter on arbitrary generated programs — every `Op`
-    /// variant, loop shapes past the collapse bound, shared
-    /// self-scheduling counters of every scope, bus and global barriers —
-    /// across thread counts: same cycle count, same memory digest, same
+    /// The engine — lowered CEs, flow-path networks — is byte-identical
+    /// to the reference (tree-walking interpreter, per-flit sweep) on
+    /// arbitrary generated programs — every `Op` variant, loop shapes
+    /// past the collapse bound, shared self-scheduling counters of every
+    /// scope, bus and global barriers — across thread counts and with
+    /// the VM model on or off: same cycle count, same memory digest, same
     /// flattened stats registry.
     #[test]
     fn lowering_is_bit_identical_to_the_interpreter(
         seed in 0u64..100_000,
         threads in prop::sample::select(vec![1usize, 4]),
+        vm in any::<bool>(),
     ) {
-        let base = run_random_programs(seed, false, 1);
-        let flat = run_random_programs(seed, true, threads);
-        base.assert_same(&flat, "interpreter", "lowered    ")?;
+        let mut cfg = cedar_machine::MachineConfig::cedar_with_clusters(2);
+        cfg.vm.enabled = vm;
+        let base = run_random_programs(seed, cfg.clone(), true);
+        let engine = run_random_programs(seed, cfg.with_threads(threads), false);
+        base.assert_same(&engine, "reference", "engine   ")?;
     }
 
     /// Two-lane execution is bit-identical to the one-thread engine on
@@ -749,16 +750,14 @@ proptest! {
         seed in 0u64..100_000,
         fastfwd in any::<bool>(),
     ) {
-        let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2)
-            .with_lowered(true)
-            .with_fast_forward(fastfwd);
-        let base = run_random_programs_on(seed, cfg.clone());
-        let lanes = run_random_programs_on(seed, cfg.with_threads(2));
+        let cfg = cedar_machine::MachineConfig::cedar_with_clusters(2).with_fast_forward(fastfwd);
+        let base = run_random_programs(seed, cfg.clone(), false);
+        let lanes = run_random_programs(seed, cfg.with_threads(2), false);
         base.assert_same(&lanes, "one thread", "two lanes ")?;
     }
 
     /// Fast-forward is invisible on arbitrary generated programs, with and
-    /// without a fault plan and the VM model (which runs the interpreter):
+    /// without a fault plan and the VM model:
     /// jumping to the earliest wake cycle leaves the cycle count, stats
     /// tree, memory digest and journey trace stream exactly as ticking
     /// every cycle does.
@@ -780,8 +779,8 @@ proptest! {
             });
         }
         cfg.vm.enabled = vm;
-        let ticked = run_random_programs_on(seed, cfg.clone().with_fast_forward(false));
-        let skipped = run_random_programs_on(seed, cfg.with_fast_forward(true));
+        let ticked = run_random_programs(seed, cfg.clone().with_fast_forward(false), false);
+        let skipped = run_random_programs(seed, cfg.with_fast_forward(true), false);
         prop_assert!(!ticked.trace.is_empty(), "the machine traced nothing");
         ticked.assert_same(&skipped, "ticked", "skipped")?;
     }

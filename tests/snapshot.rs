@@ -5,12 +5,13 @@
 //! produces the *bit-identical* report — cycle count, memory digest and
 //! full stats tree — of the uninterrupted run. These tests kill runs at
 //! adversarial points (mid outage window, under fault retries, under
-//! journey tracing) across the full engine matrix: one thread and two
-//! lanes, fast-forward on and off, tree-walking and lowered execution,
-//! and the Fortran pipeline.
+//! journey tracing) across the engine matrix: one thread and two lanes,
+//! fast-forward on and off, and the Fortran pipeline. Only the engine
+//! checkpoints: a reference machine (`Machine::new_reference`) refuses
+//! by name.
 //!
 //! The second half pins the failure envelope: torn, truncated,
-//! corrupted, foreign and future-versioned images — and images restored
+//! corrupted, foreign, old- and future-versioned images — and images restored
 //! onto differently shaped machines — are each rejected with a
 //! structured `MachineError::Snapshot`, never a panic and never a
 //! silent partial restore. A property test drives the corruption case
@@ -200,24 +201,21 @@ fn serial_kill_and_resume_is_bit_identical() {
 /// Two lanes: checkpoints are taken between rounds with the whole
 /// machine home (never after an early memory tick), so a two-lane run
 /// must kill and resume to the one-thread fingerprint, with fast-forward
-/// on and off, the flow-level network fast path on and off, and across
-/// memory versions.
+/// on and off, and across memory versions.
 #[test]
 fn parallel_kill_and_resume_matches_serial() {
-    let cases: [(usize, bool, bool, Rank64Version); 4] = [
-        (4, true, true, Rank64Version::GmPrefetch { block_words: 32 }),
-        (4, false, true, Rank64Version::GmCache),
-        (2, true, false, Rank64Version::GmNoPrefetch),
-        (3, true, false, Rank64Version::GmCache),
+    let cases: [(usize, bool, Rank64Version); 4] = [
+        (4, true, Rank64Version::GmPrefetch { block_words: 32 }),
+        (4, false, Rank64Version::GmCache),
+        (2, true, Rank64Version::GmNoPrefetch),
+        (3, true, Rank64Version::GmCache),
     ];
-    for (threads, fastfwd, flow, version) in cases {
-        let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_fast_forward(fastfwd)
-            .with_flow_path(flow);
+    for (threads, fastfwd, version) in cases {
+        let cfg = MachineConfig::cedar_with_clusters(4).with_fast_forward(fastfwd);
         let base = uninterrupted(&cfg.clone().with_threads(1), 4, version);
         let t = base.cycles;
-        let label = format!("parallel t={threads} fastfwd={fastfwd} flow={flow}");
-        let snap = SnapFile::new(&format!("par-{threads}-{fastfwd}-{flow}"));
+        let label = format!("parallel t={threads} fastfwd={fastfwd}");
+        let snap = SnapFile::new(&format!("par-{threads}-{fastfwd}"));
         let got = kill_then_resume(
             &label,
             &cfg.with_threads(threads),
@@ -231,15 +229,14 @@ fn parallel_kill_and_resume_matches_serial() {
     }
 }
 
-/// Lowered execution: the micro-op streams, lowering cache and program
-/// metadata all survive the round trip, on one thread and on two lanes.
+/// Lowered execution: the flat program counters, loop frames and fused
+/// arm+fire phases, the lowering cache and the program metadata all
+/// survive the round trip, on one thread and on two lanes.
 #[test]
 fn lowered_kill_and_resume_is_bit_identical() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
     for threads in [1usize, 4] {
-        let cfg = MachineConfig::cedar_with_clusters(4)
-            .with_lowered(true)
-            .with_threads(threads);
+        let cfg = MachineConfig::cedar_with_clusters(4).with_threads(threads);
         let base = uninterrupted(&cfg, 4, version);
         let t = base.cycles;
         let label = format!("lowered t={threads}");
@@ -247,6 +244,39 @@ fn lowered_kill_and_resume_is_bit_identical() {
         let got = kill_then_resume(&label, &cfg, 4, version, t / 6, t / 2, &snap);
         assert_identical(&label, &base, &got);
     }
+}
+
+/// A reference machine cannot checkpoint: its tree-walking engines hold
+/// state the format does not carry. Asking for auto-checkpointing fails
+/// at construction, and every checkpoint, restore or resume on a built
+/// reference fails with the same named error — while the engine machine
+/// it mirrors images and restores normally.
+#[test]
+fn reference_machines_refuse_to_checkpoint() {
+    let snap = SnapFile::new("refuse");
+    let cfg = MachineConfig::cedar_with_clusters(2);
+    assert_eq!(
+        Machine::new_reference(cfg.clone().with_checkpoint(1_000, &snap.0)).err(),
+        Some(MachineError::ReferenceCheckpoint)
+    );
+
+    let version = Rank64Version::GmCache;
+    let mut engine = Machine::new(cfg.clone()).unwrap();
+    let progs = build_rank64(&mut engine, 2, version);
+    engine.run(progs, LIMIT).unwrap();
+    let mut image = Vec::new();
+    engine.checkpoint(&mut image).unwrap();
+
+    let mut reference = Machine::new_reference(cfg).unwrap();
+    let progs = build_rank64(&mut reference, 2, version);
+    reference.run(progs, LIMIT).unwrap();
+    let refused = Some(MachineError::ReferenceCheckpoint);
+    assert_eq!(reference.checkpoint(&mut Vec::new()).err(), refused);
+    assert_eq!(reference.checkpoint_to(&snap.0).err(), refused);
+    assert!(!snap.0.exists(), "a refused checkpoint wrote a file");
+    assert_eq!(reference.restore(&mut &image[..]).err(), refused);
+    let progs = build_rank64(&mut reference, 2, version);
+    assert_eq!(reference.resume(progs, &image, LIMIT).err(), refused);
 }
 
 /// A barrier storm: each round one CE per cluster computes while its
@@ -437,7 +467,7 @@ fn between_run_checkpoint_restores_byte_identically() {
 
 /// A valid mid-run image for the rejection tests, plus the config that
 /// wrote it.
-fn reference_image() -> (Vec<u8>, MachineConfig) {
+fn sample_image() -> (Vec<u8>, MachineConfig) {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
     let cfg = MachineConfig::cedar_with_clusters(2);
     let snap = SnapFile::new("reference");
@@ -466,7 +496,7 @@ fn expect_snapshot_err(result: Result<(), MachineError>, needle: &str, label: &s
 /// with distinct structured errors before any machine state is touched.
 #[test]
 fn damaged_images_are_rejected_with_structured_errors() {
-    let (image, cfg) = reference_image();
+    let (image, cfg) = sample_image();
     let mut m = Machine::new(cfg).unwrap();
 
     let header_short = &image[..20];
@@ -501,12 +531,27 @@ fn damaged_images_are_rejected_with_structured_errors() {
     );
 }
 
+/// A version-2 image — the format that still carried interpreter frames
+/// and a lowering flag — is refused naming both versions, by restore and
+/// by resume alike.
+#[test]
+fn version_2_images_are_rejected_by_name() {
+    let (image, cfg) = sample_image();
+    let mut v2 = image;
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let needle = "format version 2 (this build reads version 3)";
+    let mut m = Machine::new(cfg).unwrap();
+    expect_snapshot_err(m.restore(&mut &v2[..]), needle, "restore");
+    let progs = build_rank64(&mut m, 2, Rank64Version::GmPrefetch { block_words: 32 });
+    expect_snapshot_err(m.resume(progs, &v2, LIMIT).map(|_| ()), needle, "resume");
+}
+
 /// Structural disagreements — a differently shaped machine, missing
 /// programs, an image with no run context — get named errors, not
 /// garbage state.
 #[test]
 fn mismatched_machines_are_rejected_with_named_errors() {
-    let (image, cfg) = reference_image();
+    let (image, cfg) = sample_image();
 
     // Wrong cluster count.
     let mut wrong = Machine::new(MachineConfig::cedar_with_clusters(4)).unwrap();
@@ -555,7 +600,7 @@ proptest! {
     fn any_single_bit_flip_is_rejected(pos_seed in 0u64..1_000_000, bit in 0usize..8) {
         use std::sync::OnceLock;
         static IMAGE: OnceLock<(Vec<u8>, MachineConfig)> = OnceLock::new();
-        let (image, cfg) = IMAGE.get_or_init(reference_image);
+        let (image, cfg) = IMAGE.get_or_init(sample_image);
         let mut flipped = image.clone();
         let pos = (pos_seed as usize) % flipped.len();
         flipped[pos] ^= 1 << bit;
