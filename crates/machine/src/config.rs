@@ -294,14 +294,6 @@ pub struct MachineConfig {
     /// no third independent part, so values above 2 mean 2. Results are
     /// bit-for-bit identical at every count (see `Machine::run`).
     pub num_threads: usize,
-    /// Whether the engines may fast-forward over quiescent stretches —
-    /// cycles in which no subsystem can change externally visible state —
-    /// instead of ticking through them one by one. Purely a wall-clock
-    /// optimization: cycle counts, statistics, histograms and memory
-    /// digests are bit-for-bit identical either way (tested). `true` by
-    /// default; the `CEDAR_NO_FASTFWD` environment variable overrides it
-    /// at run time (see `Machine::run`).
-    pub fast_forward: bool,
     pub ce: CeConfig,
     pub cache: CacheConfig,
     pub cluster_memory: ClusterMemoryConfig,
@@ -346,7 +338,6 @@ impl MachineConfig {
             ces_per_cluster: 8,
             cycle_ns: CEDAR_CYCLE_NS,
             num_threads: 1,
-            fast_forward: true,
             ce: CeConfig::cedar(),
             cache: CacheConfig::cedar(),
             cluster_memory: ClusterMemoryConfig::cedar(),
@@ -386,13 +377,6 @@ impl MachineConfig {
         if let Some(n) = threads_from_env() {
             self.num_threads = n;
         }
-        self
-    }
-
-    /// The same configuration with fast-forwarding switched on or off
-    /// (equivalence tests run both ways and compare).
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> Self {
-        self.fast_forward = fast_forward;
         self
     }
 
@@ -491,6 +475,34 @@ impl MachineConfig {
         if self.vm.page_words == 0 {
             return Err("page size must be nonzero".into());
         }
+        // At zero each of these either panics while the machine is built
+        // (the TLB is built with the VM model off too) or leaves a stream
+        // that can never issue, so the run stalls until the budget or the
+        // watchdog stops it.
+        let zero = [
+            ("vm.tlb_entries", self.vm.tlb_entries == 0),
+            ("network.words_per_cycle", self.network.words_per_cycle == 0),
+            (
+                "global_memory.request_queue",
+                self.global_memory.request_queue == 0,
+            ),
+            (
+                "prefetch.issue_per_cycle",
+                self.prefetch.issue_per_cycle == 0,
+            ),
+            ("prefetch.max_burst", self.prefetch.max_burst == 0),
+            (
+                "ce.max_outstanding_global",
+                self.ce.max_outstanding_global == 0,
+            ),
+            (
+                "cache.max_outstanding_misses_per_ce",
+                self.cache.max_outstanding_misses_per_ce == 0,
+            ),
+        ];
+        if let Some((field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
+            return Err(format!("{field} must be nonzero"));
+        }
         if let Some(plan) = &self.faults {
             plan.validate(self.network_ports(), self.global_memory.modules)?;
         }
@@ -526,8 +538,8 @@ impl Default for MachineConfig {
 // documented strict/lenient policy); re-exported here so call sites keep
 // their historical `config::` paths.
 pub use crate::env::{
-    checkpoint_every_from_env, checkpoint_path_from_env, fastfwd_disabled_from_env,
-    fault_seed_from_env, parse_env_threads, threads_from_env, trace_plan_from_env,
+    checkpoint_every_from_env, checkpoint_path_from_env, fault_seed_from_env, parse_env_threads,
+    threads_from_env, trace_plan_from_env,
 };
 
 #[cfg(test)]
@@ -599,6 +611,40 @@ mod tests {
         let mut cfg = MachineConfig::cedar();
         cfg.global_memory.service_cycles = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    /// Zero capacities that used to pass validation and then panic in
+    /// `Machine::new` or hang the run are `InvalidConfig` naming the field.
+    #[test]
+    fn validate_rejects_zero_capacities_by_name() {
+        type Zero = fn(&mut MachineConfig);
+        let cases: [(&str, Zero); 7] = [
+            ("vm.tlb_entries", |c| c.vm.tlb_entries = 0),
+            ("network.words_per_cycle", |c| c.network.words_per_cycle = 0),
+            ("global_memory.request_queue", |c| {
+                c.global_memory.request_queue = 0
+            }),
+            ("prefetch.issue_per_cycle", |c| {
+                c.prefetch.issue_per_cycle = 0
+            }),
+            ("prefetch.max_burst", |c| c.prefetch.max_burst = 0),
+            ("ce.max_outstanding_global", |c| {
+                c.ce.max_outstanding_global = 0
+            }),
+            ("cache.max_outstanding_misses_per_ce", |c| {
+                c.cache.max_outstanding_misses_per_ce = 0
+            }),
+        ];
+        for (field, zero) in cases {
+            let mut cfg = MachineConfig::cedar();
+            zero(&mut cfg);
+            match crate::machine::Machine::new(cfg).err() {
+                Some(crate::error::MachineError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(field), "{field}: message {msg:?}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! Every `CEDAR_*` runtime knob is parsed here, under one documented
 //! policy with two tiers:
 //!
-//! * **Lenient** knobs steer pure wall-clock behaviour — thread counts,
-//!   the `CEDAR_NO_FASTFWD` escape hatch. The simulated
+//! * **Lenient** knobs steer pure wall-clock behaviour: only the thread
+//!   counts, `CEDAR_NUM_THREADS` and `CEDAR_SWEEP_THREADS`. The simulated
 //!   results are bit-for-bit identical whatever these are set to, so a
 //!   malformed value is never worth aborting a run over: the parser
 //!   prints a stderr warning naming the variable, the rejected value and
-//!   the fallback, and the configured behaviour stands. (The hatch is
-//!   laxer still: anything but an affirmative value means
-//!   "off", so a CI matrix can pass `0` for the default behaviour.)
+//!   the fallback, and the configured thread count stands.
 //! * **Strict** knobs change *observable output* — the fault seed and the
 //!   tracing plan select which experiment runs. Garbage there is a hard
 //!   [`MachineError::InvalidConfig`]: silently running a different
@@ -171,17 +169,6 @@ pub fn checkpoint_path_from_env() -> Result<Option<std::path::PathBuf>, MachineE
         ));
     }
     Ok(Some(std::path::PathBuf::from(raw)))
-}
-
-/// True when the `CEDAR_NO_FASTFWD` environment variable asks for the
-/// cycle-by-cycle loop (`1`/`true`/`yes`, case-insensitive). Anything else
-/// — unset, `0`, garbage — leaves [`MachineConfig::fast_forward`] in
-/// charge, so a CI matrix can pass `0` for the default behaviour.
-///
-/// [`MachineConfig::fast_forward`]: crate::config::MachineConfig::fast_forward
-pub fn fastfwd_disabled_from_env() -> bool {
-    std::env::var("CEDAR_NO_FASTFWD")
-        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes"))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! outage windows, and every fault decision comes from a counter-based
 //! hash ([`mix`]) keyed on `(seed, site, sequence)` — never on host
 //! state — so a faulty run is bit-for-bit reproducible across
-//! `CEDAR_NUM_THREADS` and with fast-forward on or off.
+//! `CEDAR_NUM_THREADS` and on the every-cycle reference machine.
 //!
 //! Three kinds of fault, three recovery paths:
 //!

@@ -27,8 +27,9 @@
 //! Lowered execution must be **bit-for-bit identical** to the
 //! interpreter: same cycle counts, same per-cycle busy/stall/idle
 //! attribution, same packet issue cycles, same stats registries, memory
-//! digests and journey stamps, at every thread count, with fast-forward
-//! on or off, under faults, tracing and the VM model. Two invariants
+//! digests and journey stamps, at every thread count, against the
+//! reference's every-cycle ticking, under faults, tracing and the VM
+//! model. Two invariants
 //! carry the proof:
 //!
 //! 1. **Fusion only spans ops the interpreter executes back-to-back in

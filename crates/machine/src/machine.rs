@@ -200,7 +200,8 @@ pub struct Machine {
     pub(crate) profiler: Option<Box<HostProfiler>>,
     /// Built by [`Machine::new_reference`]: the CEs run the tree-walking
     /// interpreter and the networks the dense per-flit sweep, instead of
-    /// lowered micro-op streams and the flow path.
+    /// lowered micro-op streams and the flow path, and the run loop ticks
+    /// every cycle instead of fast-forwarding.
     pub(crate) reference: bool,
     /// Static shape of the programs loaded by the most recent
     /// [`Machine::run`], summed over CEs (`None` before the first run).
@@ -351,8 +352,9 @@ impl Machine {
     }
 
     /// Build the differential reference for `cfg`: tree-walking CEs and
-    /// per-flit networks, the straightforward models the lowered engine
-    /// and the flow path are tested against. Results are bit-for-bit
+    /// per-flit networks, ticked every cycle with no fast-forward — the
+    /// straightforward models the lowered engine, the flow path and the
+    /// event-horizon skip are tested against. Results are bit-for-bit
     /// those of [`Machine::new`], only slower; it exists for tests, not
     /// as a production mode. A reference machine cannot be
     /// checkpointed.
@@ -475,10 +477,10 @@ impl Machine {
     /// Cycles the event-horizon fast-forward jumped over (instead of
     /// ticking one by one) during the most recent [`run`](Machine::run).
     ///
+    /// Always zero on a reference machine, which ticks every cycle.
     /// Deliberately *not* part of [`Machine::stats`]: the registry
-    /// snapshot must stay bit-for-bit identical whether fast-forward is
-    /// on or off, so the one counter that distinguishes the two lives
-    /// here instead.
+    /// snapshot must stay bit-for-bit identical to the reference's, so
+    /// the one counter that distinguishes the two lives here instead.
     pub fn fastforward_skipped_cycles(&self) -> u64 {
         self.fastfwd_skipped
     }
@@ -940,8 +942,8 @@ impl Machine {
         // Drain journey stamps into the span store in a fixed order —
         // engines in CE order (controller then PFU), forward network,
         // reverse network, memory modules in bank order — so the store's
-        // contents are identical across thread counts and fast-forward
-        // settings. (Assembly sorts anyway; the fixed order makes the raw
+        // contents are identical across thread counts and on the ticked
+        // reference. (Assembly sorts anyway; the fixed order makes the raw
         // event stream comparable too.)
         for e in self.engines.iter_mut().flatten() {
             let (mut ev, d) = e.drain_trace();

@@ -432,7 +432,9 @@ impl Machine {
     /// auto-checkpoint run between rounds with the whole machine home, so
     /// the state they see is the same on every thread count. After an
     /// early memory tick they are skipped: that tick is only taken when
-    /// none of them would act.
+    /// none of them would act. A reference machine never fast-forwards:
+    /// it ticks every cycle, the oracle the engine's skips are tested
+    /// against.
     fn run_rounds(
         &mut self,
         mut lane_a: Option<&mut LaneA<'_, '_>>,
@@ -441,7 +443,6 @@ impl Machine {
         watchdog: &mut Watchdog,
         ckpt: &mut Option<CkptCtl>,
     ) -> Result<()> {
-        let fastfwd = self.cfg.fast_forward && !crate::config::fastfwd_disabled_from_env();
         // `G(now + 1)` has already run, beside `C(now)`; the reverse
         // network and the memory are with lane B until the next round's
         // first hand-off.
@@ -496,7 +497,7 @@ impl Machine {
                     self.timeline.record(&self.util_scratch);
                 });
             }
-            if fastfwd && !early {
+            if !self.reference && !early {
                 profiled(&mut prof, region::FASTFWD, || {
                     self.try_fast_forward(start, limit);
                 });

@@ -5,10 +5,10 @@
 //! and statistic that the tick loop can touch — taken mid-run and
 //! restorable onto a freshly constructed machine with the same
 //! configuration and programs. The determinism work (bit-identical
-//! results across threads × fast-forward × faults × tracing) extends to
-//! restored runs: a run killed at an
-//! arbitrary cycle and resumed from its last checkpoint finishes with the
-//! same fingerprint, memory digest, stats tree and report as the
+//! results across threads × faults × tracing, and against the ticked
+//! reference) extends to restored runs: a run killed at an arbitrary
+//! cycle and resumed from its last checkpoint finishes with the same
+//! fingerprint, memory digest, stats tree and report as the
 //! uninterrupted run. `tests/snapshot.rs` is the proof harness.
 //!
 //! Snapshots are crash-recovery scratch, not archives: a build reads and

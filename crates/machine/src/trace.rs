@@ -17,7 +17,7 @@
 //! to the serial one, and fast-forward only skips cycles in which no hop
 //! can occur — so the set of sampled journeys, every stamped cycle, and
 //! every derived report are bit-identical across `CEDAR_NUM_THREADS` and
-//! fast-forward on/off. With tracing off (`sample_ppm == 0`) no trace id
+//! on the every-cycle reference machine. With tracing off (`sample_ppm == 0`) no trace id
 //! is ever assigned, no event is ever stamped, and no `trace.*` stats
 //! key is emitted, so all registries and goldens match the untraced
 //! simulator byte for byte.

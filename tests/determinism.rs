@@ -93,23 +93,7 @@ fn assert_equivalent(label: &str, threads: usize, base: &Fingerprint, got: &Fing
 }
 
 fn run_rank64(clusters: usize, threads: usize, version: Rank64Version, n: u32) -> Fingerprint {
-    run_rank64_fastfwd(clusters, threads, true, version, n)
-}
-
-/// Like [`run_rank64`] with fast-forward pinned through the config
-/// builder.
-fn run_rank64_fastfwd(
-    clusters: usize,
-    threads: usize,
-    fastfwd: bool,
-    version: Rank64Version,
-    n: u32,
-) -> Fingerprint {
-    let cfg = with_env_knobs(
-        MachineConfig::cedar_with_clusters(clusters)
-            .with_threads(threads)
-            .with_fast_forward(fastfwd),
-    );
+    let cfg = with_env_knobs(MachineConfig::cedar_with_clusters(clusters).with_threads(threads));
     let mut m = Machine::new(cfg).unwrap();
     let kern = Rank64 { n, k: 64, version };
     let progs = kern.build(&mut m, clusters);
@@ -118,22 +102,6 @@ fn run_rank64_fastfwd(
         cycles: r.cycles,
         memory: m.memory_digest(),
         stats: r.stats,
-    }
-}
-
-/// Fast-forward decides between rounds, where an early memory tick must
-/// never have been taken when it skips: with it on or off, every thread
-/// count produces the one-thread fingerprint.
-#[test]
-fn fast_forward_on_and_off_is_deterministic_across_thread_counts() {
-    let version = Rank64Version::GmPrefetch { block_words: 32 };
-    for fastfwd in [true, false] {
-        let base = run_rank64_fastfwd(4, 1, fastfwd, version, 64);
-        assert!(base.cycles > 0);
-        for threads in [2usize, 4, 8] {
-            let got = run_rank64_fastfwd(4, threads, fastfwd, version, 64);
-            assert_equivalent(&format!("rank64 fastfwd={fastfwd}"), threads, &base, &got);
-        }
     }
 }
 

@@ -1,121 +1,40 @@
 //! Equivalence tests for the event-horizon fast-forward.
 //!
-//! The fast-forward path (`MachineConfig::fast_forward`, on by default)
-//! skips cycles in which no subsystem can change externally visible
-//! state, bulk-crediting them into the same counters a cycle-by-cycle run
-//! would have bumped. Its contract is *bit-for-bit* equivalence: the same
-//! cycle count, the same final memory digest and the same full stats tree
-//! as a run with skipping disabled — at every thread count. These tests
-//! pin that contract on the paper's Table 1 rows, on a Perfect code
-//! through the Fortran pipeline, and on synthetic barrier-heavy programs
-//! built to maximize quiescent stretches.
+//! The engine always fast-forwards: it skips cycles in which no subsystem
+//! can change externally visible state, bulk-crediting them into the same
+//! counters a cycle-by-cycle run would have bumped. The reference
+//! (`Machine::new_reference`) never skips — it ticks every cycle — so it
+//! is the oracle for that contract: *bit-for-bit* the same cycle count,
+//! final memory digest and full stats tree, at every thread count. These
+//! tests pin the contract on synthetic barrier-heavy programs built to
+//! maximize quiescent stretches, and hold the engine's skip counts to
+//! floors on four named runs. The Table 1 rows and the Perfect code are
+//! compared against the reference in `lower.rs`, the random programs in
+//! `properties.rs`.
 
 use cedar_fortran::compile::Backend;
 use cedar_fortran::restructure::{Level, Restructurer};
+use cedar_integration::{
+    assert_matches_reference, machine, rank64_fingerprint, Fingerprint, LIMIT,
+};
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
 use cedar_machine::ids::CeId;
 use cedar_machine::machine::Machine;
 use cedar_machine::program::{MemOperand, Op, Program, ProgramBuilder, VectorOp};
 use cedar_machine::sched::BarrierScope;
-use cedar_machine::stats::export::flat_text;
-use cedar_machine::{ClusterId, FaultPlan, MachineConfig, MachineStats};
+use cedar_machine::{ClusterId, FaultPlan, MachineConfig};
 use cedar_perfect::codes::{spec, CodeName};
 use cedar_xylem::costs::XylemCosts;
 
-const LIMIT: u64 = 1_000_000_000;
-
-/// `CEDAR_NO_FASTFWD=1` (a CI matrix leg) overrides the config flag, so
-/// "fast-forward on" runs silently stop skipping. The *equivalence*
-/// assertions must hold on every leg; the "actually skipped" assertions
-/// only apply when skipping is possible at all.
-fn skipping_possible() -> bool {
-    !cedar_machine::config::fastfwd_disabled_from_env()
-}
-
-/// Everything a run can leak about its execution, plus how many cycles
-/// the fast-forward jumped over while producing it.
-struct Fingerprint {
-    cycles: u64,
-    memory: u64,
-    stats: MachineStats,
-    skipped: u64,
-}
-
-/// Compare a fast-forwarded run against the unskipped baseline, with a
-/// readable counter diff on mismatch.
-fn assert_equivalent(label: &str, base: &Fingerprint, got: &Fingerprint) {
-    assert_eq!(
-        base.cycles, got.cycles,
-        "{label}: fast-forward run took {} cycles, baseline took {}",
-        got.cycles, base.cycles
-    );
-    assert_eq!(
-        base.memory, got.memory,
-        "{label}: fast-forward run left different memory state"
-    );
-    if base.stats != got.stats {
-        let baseline = flat_text(&base.stats);
-        let fast = flat_text(&got.stats);
-        let diff: Vec<String> = baseline
-            .lines()
-            .zip(fast.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  baseline:     {a}\n  fast-forward: {b}"))
-            .collect();
-        panic!(
-            "{label}: fast-forward stats tree differs from baseline:\n{}",
-            diff.join("\n")
-        );
-    }
-}
-
 fn fingerprint_run(
     cfg: MachineConfig,
+    reference: bool,
     build: impl FnOnce(&mut Machine) -> Vec<(CeId, Program)>,
 ) -> Fingerprint {
-    let mut m = Machine::new(cfg).unwrap();
+    let mut m = machine(cfg, reference);
     let progs = build(&mut m);
     let r = m.run(progs, LIMIT).unwrap();
-    Fingerprint {
-        cycles: r.cycles,
-        memory: m.memory_digest(),
-        stats: r.stats,
-        skipped: m.fastforward_skipped_cycles(),
-    }
-}
-
-fn run_rank64(version: Rank64Version, fast_forward: bool, threads: usize) -> Fingerprint {
-    let clusters = 4;
-    let cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
-    fingerprint_run(cfg, |m| {
-        Rank64 {
-            n: 64,
-            k: 64,
-            version,
-        }
-        .build(m, clusters)
-    })
-}
-
-/// Every Table 1 memory version produces a bit-identical fingerprint with
-/// fast-forward on, serially and in the parallel engine.
-#[test]
-fn table1_rows_match_with_fastforward_on() {
-    for version in [
-        Rank64Version::GmNoPrefetch,
-        Rank64Version::GmPrefetch { block_words: 32 },
-        Rank64Version::GmCache,
-    ] {
-        let label = format!("table1 {version:?}");
-        let base = run_rank64(version, false, 1);
-        assert_eq!(base.skipped, 0, "{label}: baseline must not skip");
-        for threads in [1, 2, 4] {
-            let got = run_rank64(version, true, threads);
-            assert_equivalent(&format!("{label} x{threads} threads"), &base, &got);
-        }
-    }
+    Fingerprint::of(&m, r)
 }
 
 /// A barrier-heavy synthetic: each round, one CE per cluster computes for
@@ -153,30 +72,25 @@ fn barrier_storm(m: &mut Machine, rounds: u32, work: u32) -> Vec<(CeId, Program)
     progs
 }
 
-fn run_barrier_storm(fast_forward: bool, threads: usize) -> Fingerprint {
-    let cfg = MachineConfig::cedar()
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
-    fingerprint_run(cfg, |m| barrier_storm(m, 20, 4_000))
+fn run_barrier_storm(reference: bool, threads: usize) -> Fingerprint {
+    let cfg = MachineConfig::cedar().with_threads(threads);
+    fingerprint_run(cfg, reference, |m| barrier_storm(m, 20, 4_000))
 }
 
-/// The barrier storm is bit-identical with fast-forward on at 1, 2 and 4
+/// The barrier storm is bit-identical to the reference at 1, 2 and 4
 /// threads — and the skip counter confirms the fast path actually ran.
 #[test]
 fn barrier_storm_matches_and_actually_skips() {
-    let base = run_barrier_storm(false, 1);
-    assert_eq!(base.skipped, 0);
+    let base = run_barrier_storm(true, 1);
     for threads in [1, 2, 4] {
-        let got = run_barrier_storm(true, threads);
-        assert_equivalent(&format!("barrier storm x{threads} threads"), &base, &got);
-        if skipping_possible() {
-            assert!(
-                got.skipped > base.cycles / 2,
-                "barrier storm should be mostly skippable: skipped {} of {} cycles",
-                got.skipped,
-                base.cycles
-            );
-        }
+        let got = run_barrier_storm(false, threads);
+        assert_matches_reference(&format!("barrier storm x{threads} threads"), &base, &got);
+        assert!(
+            got.skipped > base.cycles / 2,
+            "barrier storm should be mostly skippable: skipped {} of {} cycles",
+            got.skipped,
+            base.cycles
+        );
     }
 }
 
@@ -186,9 +100,8 @@ fn barrier_storm_matches_and_actually_skips() {
 /// queues, timeline buckets).
 #[test]
 fn global_barrier_imbalance_matches() {
-    let run = |fast_forward: bool| {
-        let cfg = MachineConfig::cedar().with_fast_forward(fast_forward);
-        fingerprint_run(cfg, |m| {
+    let run = |reference: bool| {
+        fingerprint_run(MachineConfig::cedar(), reference, |m| {
             let total = m.config().total_ces();
             let barrier = m.alloc_barrier(BarrierScope::Global, total as u32);
             let mut progs = Vec::new();
@@ -205,36 +118,20 @@ fn global_barrier_imbalance_matches() {
             progs
         })
     };
-    let base = run(false);
-    let got = run(true);
-    assert_equivalent("global barrier imbalance", &base, &got);
-    if skipping_possible() {
-        assert!(got.skipped > 0, "imbalanced global barrier should skip");
-    }
+    let got = run(false);
+    assert_matches_reference("global barrier imbalance", &run(true), &got);
+    assert!(got.skipped > 0, "imbalanced global barrier should skip");
 }
 
-fn run_perfect(fast_forward: bool, threads: usize) -> Fingerprint {
+/// Perfect TRFD at the automatable level through the full Fortran
+/// pipeline, on the engine.
+fn run_perfect() -> Fingerprint {
     let clusters = 4;
     let src = spec(CodeName::Trfd).to_source();
     let compiled = Restructurer::default().restructure(&src, Level::Automatable);
     let backend = Backend::new(XylemCosts::cedar());
-    let cfg = MachineConfig::cedar_with_clusters(clusters)
-        .with_threads(threads)
-        .with_fast_forward(fast_forward);
-    fingerprint_run(cfg, |m| backend.lower(&compiled, m, clusters))
-}
-
-/// A Perfect-benchmark code through the full Fortran pipeline: the
-/// fingerprint with fast-forward on equals the unskipped baseline at 1, 2
-/// and 4 threads.
-#[test]
-fn perfect_trfd_matches_across_thread_counts() {
-    let base = run_perfect(false, 1);
-    assert!(base.cycles > 0);
-    for threads in [1, 2, 4] {
-        let got = run_perfect(true, threads);
-        assert_equivalent(&format!("perfect TRFD x{threads} threads"), &base, &got);
-    }
+    let cfg = MachineConfig::cedar_with_clusters(clusters);
+    fingerprint_run(cfg, false, |m| backend.lower(&compiled, m, clusters))
 }
 
 /// Fast-forward never loses precision: on four named runs — a Table 1
@@ -245,9 +142,6 @@ fn perfect_trfd_matches_across_thread_counts() {
 /// skips, which the bit-identity tests cannot see.
 #[test]
 fn skip_counts_hold_their_floors() {
-    if !skipping_possible() {
-        return;
-    }
     let faulty = || {
         let plan = FaultPlan {
             drop_per_million: 5_000,
@@ -255,7 +149,7 @@ fn skip_counts_hold_their_floors() {
             ..FaultPlan::none(1)
         };
         let cfg = MachineConfig::cedar_with_clusters(4).with_faults(plan);
-        fingerprint_run(cfg, |m| {
+        fingerprint_run(cfg, false, |m| {
             Rank64 {
                 n: 64,
                 k: 64,
@@ -268,10 +162,14 @@ fn skip_counts_hold_their_floors() {
         (
             "table1 GM/no-pref",
             9,
-            run_rank64(Rank64Version::GmNoPrefetch, true, 1),
+            rank64_fingerprint(
+                MachineConfig::cedar_with_clusters(4),
+                Rank64Version::GmNoPrefetch,
+                false,
+            ),
         ),
-        ("perfect TRFD", 93_601, run_perfect(true, 1)),
-        ("barrier storm", 80_020, run_barrier_storm(true, 1)),
+        ("perfect TRFD", 93_601, run_perfect()),
+        ("barrier storm", 80_020, run_barrier_storm(false, 1)),
         ("faulty GM/pref", 3_914, faulty()),
     ];
     for (label, floor, got) in runs {

@@ -6,9 +6,10 @@
 //!    leave every fingerprint — cycles, memory digest, the full stats
 //!    registry — byte-identical to a run with no plan at all.
 //! 2. **Enabled faults are deterministic.** A fixed plan produces
-//!    bit-identical fingerprints whatever the thread count and whether
-//!    the event-horizon fast-forward is on or off; the injected drops
-//!    are a function of the plan, not of the host.
+//!    bit-identical fingerprints whatever the thread count, and the same
+//!    fingerprint as the reference machine, which ticks every cycle
+//!    where the engine fast-forwards; the injected drops are a function
+//!    of the plan, not of the host.
 //! 3. **Recovery is complete.** Every doomed packet is eventually
 //!    retried to completion (run finishes, controllers drained, packet
 //!    conservation holds at quiesce, final memory state matches the
@@ -16,6 +17,7 @@
 
 use proptest::prelude::*;
 
+use cedar_integration::{assert_matches_reference, rank64_fingerprint};
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
 use cedar_machine::machine::Machine;
 use cedar_machine::stats::export::flat_text;
@@ -99,32 +101,23 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
-/// The tentpole determinism guarantee: one fixed faulty plan, six host
-/// configurations (1/2/4 threads × fast-forward on/off), one
-/// fingerprint. The drops and NACKs land on exactly the same packets
+/// The tentpole determinism guarantee: one fixed faulty plan, the
+/// fast-forwarding engine at 1/2/4 threads and the every-cycle reference,
+/// one fingerprint. The drops and NACKs land on exactly the same packets
 /// everywhere because every decision hashes `(seed, site, sequence)`,
 /// never host state.
 #[test]
 fn faulty_plan_is_deterministic_across_threads_and_fastforward() {
-    let mut base: Option<Fingerprint> = None;
-    for threads in [1usize, 2, 4] {
-        for fastfwd in [true, false] {
-            let cfg = MachineConfig::cedar_with_clusters(4)
-                .with_threads(threads)
-                .with_fast_forward(fastfwd)
-                .with_faults(faulty_plan());
-            let got = run_rank64(cfg, 64).unwrap();
-            assert!(
-                got.stats.counter("net.fwd.drops") > 0,
-                "the plan was meant to actually drop packets"
-            );
-            match &base {
-                None => base = Some(got),
-                Some(b) => {
-                    assert_identical(&format!("{threads} threads, fastfwd={fastfwd}"), b, &got)
-                }
-            }
-        }
+    let cfg = MachineConfig::cedar_with_clusters(4).with_faults(faulty_plan());
+    let version = Rank64Version::GmPrefetch { block_words: 32 };
+    let base = rank64_fingerprint(cfg.clone(), version, true);
+    assert!(
+        base.stats.counter("net.fwd.drops") > 0,
+        "the plan was meant to actually drop packets"
+    );
+    for threads in [1, 2, 4] {
+        let got = rank64_fingerprint(cfg.clone().with_threads(threads), version, false);
+        assert_matches_reference(&format!("{threads} threads"), &base, &got);
     }
 }
 

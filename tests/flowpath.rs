@@ -11,8 +11,8 @@
 //! cycle count, the same memory digest, the same full stats registry —
 //! including the `net.*` counter and histogram trees, per-stage
 //! conflict/blocked vectors and queue-depth bins — at every thread
-//! count, with fast-forward on or off, under fault injection, and under
-//! journey tracing.
+//! count, against the reference's every-cycle ticking, under fault
+//! injection, and under journey tracing.
 //!
 //! `lower.rs` holds the whole engine to the whole reference at four
 //! clusters; these tests cover the network-bound rows at one to three
@@ -225,7 +225,7 @@ fn full_stall_window_replays_and_matches_the_oracle() {
 #[test]
 fn flow_path_replays_under_single_bank_sync_hammering() {
     let run = |reference: bool| {
-        let mut m = machine(MachineConfig::cedar().with_fast_forward(false), reference);
+        let mut m = machine(MachineConfig::cedar(), reference);
         let progs = (0..m.config().total_ces())
             .map(|ce| {
                 let mut b = ProgramBuilder::new();

@@ -24,13 +24,15 @@ pub fn machine(cfg: MachineConfig, reference: bool) -> Machine {
 }
 
 /// Everything a run can leak about its execution, plus how many stalled
-/// network ticks the flow path settled by replay (always zero on the
-/// reference, whose networks sweep every flit).
+/// network ticks the flow path settled by replay and how many cycles the
+/// fast-forward jumped over (both always zero on the reference, whose
+/// networks sweep every flit and whose run loop ticks every cycle).
 pub struct Fingerprint {
     pub cycles: u64,
     pub memory: u64,
     pub stats: MachineStats,
     pub replays: u64,
+    pub skipped: u64,
 }
 
 impl Fingerprint {
@@ -41,6 +43,7 @@ impl Fingerprint {
             memory: m.memory_digest(),
             stats: r.stats,
             replays: m.flow_stall_replays(),
+            skipped: m.fastforward_skipped_cycles(),
         }
     }
 }
@@ -48,6 +51,10 @@ impl Fingerprint {
 /// Compare an engine run against the reference run, with a readable
 /// counter diff on mismatch.
 pub fn assert_matches_reference(label: &str, reference: &Fingerprint, engine: &Fingerprint) {
+    assert_eq!(
+        reference.skipped, 0,
+        "{label}: the reference must tick every cycle"
+    );
     assert_eq!(
         reference.cycles, engine.cycles,
         "{label}: engine took {} cycles, reference took {}",

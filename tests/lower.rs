@@ -8,11 +8,11 @@
 //! stall whose end the engine reports to the fast-forward scheduler, so
 //! quiescent CEs tick in O(1). Its contract is *bit-for-bit*
 //! equivalence with the tree-walking interpreter, kept verbatim as the
-//! reference that `Machine::new_reference` builds: the same cycle count,
-//! the same memory digest, the same full stats registry — attribution
-//! vectors, histograms, journey stamps — at every thread count, with
-//! fast-forward on or off, under fault injection, under journey tracing
-//! and under the VM model.
+//! reference that `Machine::new_reference` builds and ticks every cycle:
+//! the same cycle count, the same memory digest, the same full stats
+//! registry — attribution vectors, histograms, journey stamps — at every
+//! thread count, under fault injection, under journey tracing and under
+//! the VM model.
 //!
 //! These tests pin that contract on the paper's Table 1 rows and on a
 //! Perfect-benchmark code through the full Fortran pipeline. The
@@ -38,30 +38,20 @@ const TABLE1: [Rank64Version; 3] = [
 ];
 
 /// Every Table 1 memory version produces a bit-identical fingerprint on
-/// the engine — serially and on two lanes, with the event-horizon
-/// fast-forward on and off — as on the one-thread, cycle-by-cycle
-/// reference.
+/// the fast-forwarding engine — serially and on two lanes — as on the
+/// one-thread, every-cycle reference.
 #[test]
 fn table1_rows_match_with_lowering_on() {
     let cfg = MachineConfig::cedar_with_clusters(4);
     for version in TABLE1 {
-        let label = format!("table1 {version:?}");
-        let base = rank64_fingerprint(cfg.clone().with_fast_forward(false), version, true);
+        let base = rank64_fingerprint(cfg.clone(), version, true);
         for threads in [1, 4] {
-            for fast_forward in [false, true] {
-                let got = rank64_fingerprint(
-                    cfg.clone()
-                        .with_threads(threads)
-                        .with_fast_forward(fast_forward),
-                    version,
-                    false,
-                );
-                assert_matches_reference(
-                    &format!("{label} x{threads} threads, fast-forward {fast_forward}"),
-                    &base,
-                    &got,
-                );
-            }
+            let got = rank64_fingerprint(cfg.clone().with_threads(threads), version, false);
+            assert_matches_reference(
+                &format!("table1 {version:?} x{threads} threads"),
+                &base,
+                &got,
+            );
         }
     }
 }

@@ -6,9 +6,8 @@
 //! full stats tree — of the uninterrupted run. These tests kill runs at
 //! adversarial points (mid outage window, under fault retries, under
 //! journey tracing) across the engine matrix: one thread and two lanes,
-//! fast-forward on and off, and the Fortran pipeline. Only the engine
-//! checkpoints: a reference machine (`Machine::new_reference`) refuses
-//! by name.
+//! and the Fortran pipeline. Only the engine checkpoints: a reference
+//! machine (`Machine::new_reference`) refuses by name.
 //!
 //! The second half pins the failure envelope: torn, truncated,
 //! corrupted, foreign, old- and future-versioned images — and images restored
@@ -200,22 +199,21 @@ fn serial_kill_and_resume_is_bit_identical() {
 
 /// Two lanes: checkpoints are taken between rounds with the whole
 /// machine home (never after an early memory tick), so a two-lane run
-/// must kill and resume to the one-thread fingerprint, with fast-forward
-/// on and off, and across memory versions.
+/// must kill and resume to the one-thread fingerprint, across memory
+/// versions.
 #[test]
 fn parallel_kill_and_resume_matches_serial() {
-    let cases: [(usize, bool, Rank64Version); 4] = [
-        (4, true, Rank64Version::GmPrefetch { block_words: 32 }),
-        (4, false, Rank64Version::GmCache),
-        (2, true, Rank64Version::GmNoPrefetch),
-        (3, true, Rank64Version::GmCache),
+    let cases: [(usize, Rank64Version); 3] = [
+        (4, Rank64Version::GmPrefetch { block_words: 32 }),
+        (2, Rank64Version::GmNoPrefetch),
+        (3, Rank64Version::GmCache),
     ];
-    for (threads, fastfwd, version) in cases {
-        let cfg = MachineConfig::cedar_with_clusters(4).with_fast_forward(fastfwd);
+    for (threads, version) in cases {
+        let cfg = MachineConfig::cedar_with_clusters(4);
         let base = uninterrupted(&cfg.clone().with_threads(1), 4, version);
         let t = base.cycles;
-        let label = format!("parallel t={threads} fastfwd={fastfwd}");
-        let snap = SnapFile::new(&format!("par-{threads}-{fastfwd}"));
+        let label = format!("parallel t={threads}");
+        let snap = SnapFile::new(&format!("par-{threads}"));
         let got = kill_then_resume(
             &label,
             &cfg.with_threads(threads),
@@ -306,8 +304,8 @@ fn barrier_storm(m: &mut Machine) -> Vec<(CeId, Program)> {
 }
 
 /// The barrier storm killed mid-barrier: the image holds live barrier
-/// episodes and the wake cycles of engines asleep on them (and, with
-/// fast-forward, was written after a jump). Resume is bit-identical on
+/// episodes and the wake cycles of engines asleep on them, and was
+/// written after a fast-forward jump. Resume is bit-identical on
 /// one thread and on two lanes, against the one-thread uninterrupted run.
 #[test]
 fn barrier_storm_killed_mid_barrier_resumes_identically() {

@@ -5,8 +5,8 @@
 //!
 //! 1. with tracing ON, the sampled journey set, every event stamp, and
 //!    every derived report are bit-identical across thread counts AND
-//!    fast-forward on/off — sampling decisions are counter-based, never
-//!    drawn from execution order;
+//!    on the every-cycle reference machine — sampling decisions are
+//!    counter-based, never drawn from execution order;
 //! 2. with tracing OFF, the machine's observable output (cycles, memory
 //!    digest, stats registry) is byte-identical to a build that never
 //!    heard of tracing — no `trace.*` key is ever emitted;
@@ -14,6 +14,7 @@
 //!    the machine actually models: the `service` segment of every traced
 //!    global-memory op is exactly the module service time.
 
+use cedar_integration::machine;
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
 use cedar_machine::machine::Machine;
 use cedar_machine::stats::export::{chrome_trace_with_journeys, flat_text};
@@ -36,19 +37,15 @@ struct Traced {
     machine: Machine,
 }
 
-fn run(
-    version: Rank64Version,
-    threads: usize,
-    fast_forward: bool,
-    plan: Option<TracePlan>,
-) -> Traced {
+/// A rank-64 run on the engine, or (with `reference`) on the every-cycle
+/// reference machine.
+fn run(version: Rank64Version, threads: usize, reference: bool, plan: Option<TracePlan>) -> Traced {
     let clusters = 4;
     let mut cfg = MachineConfig::cedar_with_clusters(clusters).with_threads(threads);
-    cfg.fast_forward = fast_forward;
     if let Some(p) = plan {
         cfg = cfg.with_trace(p);
     }
-    let mut m = Machine::new(cfg).unwrap();
+    let mut m = machine(cfg, reference);
     let kern = Rank64 {
         n: 64,
         k: 64,
@@ -67,22 +64,22 @@ fn run(
 }
 
 /// Promise 1: the traced run's complete output — including the raw event
-/// stream — is bit-identical at 1/2/4 threads, with fast-forward on and
-/// off. This also exercises the parallel engine's shard-trace merge on
-/// real traffic.
+/// stream — is bit-identical at 1/2/4 threads and on the reference, which
+/// ticks every cycle where the engine fast-forwards. This also exercises
+/// the two-lane trace posting on real traffic.
 #[test]
 fn traced_runs_are_bit_identical_across_threads_and_fastforward() {
     let version = Rank64Version::GmPrefetch { block_words: 32 };
-    let base = run(version, 1, true, Some(PLAN));
+    let base = run(version, 1, false, Some(PLAN));
     assert!(base.cycles > 0);
     assert!(
         !base.events.is_empty(),
         "a 25% sampling rate must catch journeys on this workload"
     );
     assert_eq!(base.dropped, 0, "test workload must fit the trace buffers");
-    for (threads, fast_forward) in [(2, true), (4, true), (1, false), (4, false)] {
-        let got = run(version, threads, fast_forward, Some(PLAN));
-        let label = format!("{threads} threads, fast-forward {fast_forward}");
+    for (threads, reference) in [(2, false), (4, false), (1, true)] {
+        let got = run(version, threads, reference, Some(PLAN));
+        let label = format!("{threads} threads, reference {reference}");
         assert_eq!(base.cycles, got.cycles, "{label}: cycle count drifted");
         assert_eq!(base.memory, got.memory, "{label}: memory state drifted");
         assert_eq!(base.stats, got.stats, "{label}: stats registry drifted");
@@ -107,11 +104,11 @@ fn traced_runs_are_bit_identical_across_threads_and_fastforward() {
 #[test]
 fn tracing_off_is_byte_identical_and_on_is_read_only() {
     let version = Rank64Version::GmCache;
-    let untraced = run(version, 1, true, None);
+    let untraced = run(version, 1, false, None);
     let zero_rate = run(
         version,
         1,
-        true,
+        false,
         Some(TracePlan {
             seed: 7,
             sample_ppm: 0,
@@ -126,7 +123,7 @@ fn tracing_off_is_byte_identical_and_on_is_read_only() {
     );
     assert!(zero_rate.events.is_empty());
 
-    let traced = run(version, 1, true, Some(PLAN));
+    let traced = run(version, 1, false, Some(PLAN));
     assert_eq!(
         untraced.cycles, traced.cycles,
         "tracing changed the simulation"
@@ -174,7 +171,7 @@ fn breakdown_reproduces_module_service_time_on_a_table1_row() {
     let traced = run(
         Rank64Version::GmCache,
         1,
-        true,
+        false,
         Some(TracePlan {
             seed: 0xCEDA,
             sample_ppm: 1_000_000,
@@ -218,7 +215,7 @@ fn breakdown_reproduces_module_service_time_on_a_table1_row() {
 /// balanced "b"/"e" pair per journey, on top of the existing timeline.
 #[test]
 fn chrome_export_with_journeys_is_wellformed() {
-    let traced = run(Rank64Version::GmCache, 2, true, Some(PLAN));
+    let traced = run(Rank64Version::GmCache, 2, false, Some(PLAN));
     let journeys = traced.machine.trace_journeys();
     assert!(!journeys.is_empty());
     let json =
