@@ -15,6 +15,13 @@ use std::path::PathBuf;
 
 use cedar::experiments::table2::Table2Sizes;
 use cedar::experiments::{ppt4, resilience, table1, table2};
+use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
+use cedar_machine::{
+    BarrierScope, CeId, ClusterId, CounterScope, FaultPlan, LinkOutage, Machine, MachineConfig,
+    MachineError, ModuleOutage, Op, Program, ProgramBuilder, TracePlan,
+};
+
+const LIMIT: u64 = 1_000_000_000;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -102,4 +109,188 @@ fn ppt4_matches_golden_snapshot() {
 fn resilience_matches_golden_snapshot() {
     let r = resilience::run(64, 0xCEDA_0001).unwrap();
     check_golden("resilience.txt", &r.render());
+}
+
+/// A checkpoint file written by a run killed at `kill_at` cycles while
+/// auto-checkpointing every `every` cycles (so the image holds a run
+/// context).
+fn killed_run_image(
+    name: &str,
+    cfg: &MachineConfig,
+    build: impl Fn(&mut Machine) -> Vec<(CeId, Program)>,
+    every: u64,
+    kill_at: u64,
+) -> Vec<u8> {
+    let path =
+        std::env::temp_dir().join(format!("cedar-golden-{}-{name}.ckpt", std::process::id()));
+    let mut m = Machine::new(cfg.clone().with_checkpoint(every, &path)).unwrap();
+    let progs = build(&mut m);
+    assert!(
+        matches!(
+            m.run(progs, kill_at),
+            Err(MachineError::CycleLimitExceeded { .. })
+        ),
+        "{name}: the kill run should hit its cycle limit"
+    );
+    let image = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    image
+}
+
+/// Cycles of an uninterrupted run of `build` on `cfg`.
+fn run_length(cfg: &MachineConfig, build: impl Fn(&mut Machine) -> Vec<(CeId, Program)>) -> u64 {
+    let mut m = Machine::new(cfg.clone()).unwrap();
+    let progs = build(&mut m);
+    m.run(progs, LIMIT).unwrap().cycles
+}
+
+fn rank64(
+    version: Rank64Version,
+    clusters: usize,
+) -> impl Fn(&mut Machine) -> Vec<(CeId, Program)> {
+    move |m| {
+        Rank64 {
+            n: 64,
+            k: 64,
+            version,
+        }
+        .build(m, clusters)
+    }
+}
+
+/// Cluster-bus traffic on every cluster: CEs 4–7 park at the bus
+/// barrier at once, while CEs 0–3 share an SDOALL loop and then a
+/// self-scheduled loop on the cluster counter (one-word chunks, so their
+/// dispatch requests queue on the bus) before they join the barrier.
+fn bus_traffic(m: &mut Machine) -> Vec<(CeId, Program)> {
+    let (clusters, cpc) = (m.config().clusters, m.config().ces_per_cluster);
+    let sdoall = m.alloc_counter(CounterScope::SdoallGlobal);
+    let per_cluster: Vec<_> = (0..clusters)
+        .map(|c| {
+            (
+                m.alloc_counter(CounterScope::Cluster(ClusterId(c))),
+                m.alloc_barrier(BarrierScope::Cluster(ClusterId(c)), cpc as u32),
+            )
+        })
+        .collect();
+    (0..clusters * cpc)
+        .map(|ce| {
+            let (counter, barrier) = per_cluster[ce / cpc];
+            let mut b = ProgramBuilder::new();
+            if ce % cpc < cpc / 2 {
+                b.self_sched(sdoall, 16, 1, |b| {
+                    b.scalar(3);
+                });
+                b.self_sched(counter, 4_000, 1, |b| {
+                    b.scalar(1);
+                });
+            }
+            b.push(Op::Barrier { barrier });
+            (CeId(ce), b.build())
+        })
+        .collect()
+}
+
+/// The snapshot format, pinned: the length and header checksum of the
+/// image of each of a fixed set of machines, which between them write
+/// every section and every optional part of the format — run context,
+/// fault schedule, retry controllers, network and prefetch tracers, TLBs
+/// and page table, live bus barriers, queued dispatches and SDOALL
+/// state, engine slots with and without programs. A change of these
+/// bytes is a format change: bump `SNAPSHOT_VERSION` and re-bless.
+#[test]
+fn snapshot_images_match_golden_checksums() {
+    let mut images: Vec<(&str, Vec<u8>)> = Vec::new();
+
+    // Mid-run GM/pref on two of four clusters: a run context, and half
+    // the engine slots empty.
+    let cfg = MachineConfig::cedar_with_clusters(4);
+    let build = rank64(Rank64Version::GmPrefetch { block_words: 32 }, 2);
+    let t = run_length(&cfg, &build);
+    images.push((
+        "gm_pref_mid_run",
+        killed_run_image("pref", &cfg, &build, t / 4, t / 2),
+    ));
+
+    // Killed inside an outage window under drops, NACKs and journey
+    // tracing: the fault schedule, retry controllers and every tracer.
+    let build = rank64(Rank64Version::GmCache, 2);
+    let t = run_length(&MachineConfig::cedar_with_clusters(2), &build);
+    let (from, until) = (t / 4, 3 * t / 4);
+    let cfg = MachineConfig::cedar_with_clusters(2)
+        .with_faults(FaultPlan {
+            drop_per_million: 2_000,
+            nack_per_million: 1_000,
+            link_outages: vec![LinkOutage {
+                port: 1,
+                from,
+                until,
+            }],
+            module_outages: vec![ModuleOutage {
+                module: 0,
+                from,
+                until,
+            }],
+            ..FaultPlan::none(7)
+        })
+        .with_trace(TracePlan {
+            seed: 11,
+            sample_ppm: 250_000,
+        });
+    let every = ((until - from) / 8).max(1);
+    images.push((
+        "outage_faults_traced",
+        killed_run_image("outage", &cfg, &build, every, (from + until) / 2),
+    ));
+
+    // Demand paging: TLBs and the page table.
+    let mut cfg = MachineConfig::cedar_with_clusters(2);
+    cfg.vm.enabled = true;
+    let build = rank64(Rank64Version::GmCache, 2);
+    let t = run_length(&cfg, &build);
+    images.push((
+        "vm_demand_paging",
+        killed_run_image("vm", &cfg, &build, t / 3, t / 2),
+    ));
+
+    // Live bus barrier waiters, queued dispatches and SDOALL state, on a
+    // machine stopped by its cycle limit.
+    let cfg = MachineConfig::cedar_with_clusters(2);
+    let t = run_length(&cfg, bus_traffic);
+    let mut m = Machine::new(cfg).unwrap();
+    let progs = bus_traffic(&mut m);
+    assert!(m.run(progs, t / 2).is_err(), "bus traffic should be cut");
+    let s = m.stats();
+    for c in 0..2 {
+        let key = |k: &str| s.counter(&format!("ccbus[{c}].{k}"));
+        assert!(
+            key("counter_requests") > key("dispatches"),
+            "cluster {c}: no queued dispatch"
+        );
+        assert!(
+            key("barrier_arrivals") > 0 && key("barrier_releases") == 0,
+            "cluster {c}: no waiter"
+        );
+        assert!(key("sdoall_posts") > 0, "cluster {c}: no SDOALL state");
+    }
+    let mut image = Vec::new();
+    m.checkpoint(&mut image).unwrap();
+    images.push(("bus_barriers_dispatch_sdoall", image));
+
+    // A between-runs archive of a finished machine.
+    let cfg = MachineConfig::cedar_with_clusters(2);
+    let mut m = Machine::new(cfg).unwrap();
+    let progs = rank64(Rank64Version::GmNoPrefetch, 2)(&mut m);
+    m.run(progs, LIMIT).unwrap();
+    let mut image = Vec::new();
+    m.checkpoint(&mut image).unwrap();
+    images.push(("archive_between_runs", image));
+
+    let mut out = String::new();
+    for (name, image) in &images {
+        // Header bytes 20..28: the checksum over the payload.
+        let check = u64::from_le_bytes(image[20..28].try_into().unwrap());
+        let _ = writeln!(out, "{name}: {} bytes, checksum {check:016x}", image.len());
+    }
+    check_golden("snapshot_images.txt", &out);
 }
