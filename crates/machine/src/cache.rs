@@ -14,6 +14,10 @@
 use crate::bits::set_bits;
 use crate::config::CacheConfig;
 use crate::memory::cluster_mem::ClusterMemory;
+use crate::snapshot::{
+    codec, snapshot_state, Exact, Field, Fixed, RecordWriter, Records, SnapReader, SnapResult,
+    SnapWriter,
+};
 use crate::time::Cycle;
 
 /// Outcome of presenting one word access to the cache.
@@ -99,6 +103,73 @@ pub struct ClusterCache {
     bank_used: Vec<u32>,
     mem: ClusterMemory,
     stats: CacheStats,
+}
+
+codec!(struct CacheStats { hits, misses, bank_stalls, mshr_stalls, writebacks, evictions });
+
+// Geometry (sets, associativity, banks) is config-derived; the way array
+// is checked against it structurally on restore.
+snapshot_state! {
+    impl ClusterCache as this {
+        tag: b"CACH",
+        saved: [
+            [tags, valid]: Ways, lru_clock, ce_misses: Exact(Records), bank_cycle,
+            bank_used: Fixed, mem, stats,
+        ],
+        derived: [
+            line_words, sets, assoc, banks, pow2, words_per_bank_cycle, hit_latency,
+            max_misses_per_ce,
+        ],
+    }
+}
+
+/// The way array, which is mostly invalid ways, goes out sparse: the
+/// validity mask, then the valid lines packed in way order.
+struct Ways;
+
+impl Field<ClusterCache> for Ways {
+    fn put(&self, c: &ClusterCache, w: &mut SnapWriter) {
+        debug_assert!(
+            c.tags
+                .iter()
+                .enumerate()
+                .all(|(i, way)| way.is_some() == (c.valid[i / 64] >> (i % 64) & 1 != 0)),
+            "validity mask out of step with the way array"
+        );
+        w.sparse(c.tags.len(), &c.valid, |i| {
+            let line = c.tags[i].as_ref().expect("valid way holds a line");
+            RecordWriter::<LINE_RECORD>::new()
+                .u64(line.tag)
+                .u64(line.lru)
+                .u64(line.fill_at.0)
+                .u8(u8::from(line.dirty))
+                .done()
+        });
+    }
+
+    fn load(&self, c: &mut ClusterCache, r: &mut SnapReader) -> SnapResult<()> {
+        let (valid, lines) = r.sparse::<_, LINE_RECORD>(c.tags.len(), |mut f| {
+            Ok(Line {
+                tag: f.u64(),
+                lru: f.u64(),
+                fill_at: Cycle(f.u64()),
+                dirty: match f.u8() {
+                    0 => false,
+                    1 => true,
+                    _ => return Err("invalid dirty byte in a cache line"),
+                },
+            })
+        })?;
+        // Only the ways valid before or after need touching.
+        for i in set_bits(&c.valid) {
+            c.tags[i] = None;
+        }
+        c.valid = valid;
+        for (i, line) in set_bits(&c.valid).zip(lines) {
+            c.tags[i] = Some(line);
+        }
+        Ok(())
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -263,97 +334,6 @@ impl ClusterCache {
     /// Statistics of the backing cluster memory.
     pub fn mem_stats(&self) -> crate::memory::cluster_mem::ClusterMemStats {
         self.mem.stats()
-    }
-
-    /// Serialize the tag array, miss slots, bank occupancy, backing
-    /// memory and statistics. Geometry (sets, associativity, banks) is
-    /// config-derived and checked structurally on restore. The way array
-    /// is mostly invalid ways, so it goes out sparse: the validity mask,
-    /// then the valid lines packed in way order.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::RecordWriter;
-        debug_assert!(
-            self.tags
-                .iter()
-                .enumerate()
-                .all(|(i, way)| way.is_some() == (self.valid[i / 64] >> (i % 64) & 1 != 0)),
-            "validity mask out of step with the way array"
-        );
-        w.tag(b"CACH");
-        w.sparse(self.tags.len(), &self.valid, |i| {
-            let line = self.tags[i].as_ref().expect("valid way holds a line");
-            RecordWriter::<LINE_RECORD>::new()
-                .u64(line.tag)
-                .u64(line.lru)
-                .u64(line.fill_at.0)
-                .u8(u8::from(line.dirty))
-                .done()
-        });
-        w.u64(self.lru_clock);
-        w.seq(self.ce_misses.iter(), |w, slots| {
-            w.records(slots.iter(), |&(line, at)| {
-                RecordWriter::<16>::new().u64(line).u64(at.0).done()
-            });
-        });
-        w.cycle(self.bank_cycle);
-        w.u32s(&self.bank_used);
-        self.mem.save_state(w);
-        let s = &self.stats;
-        for v in [
-            s.hits,
-            s.misses,
-            s.bank_stalls,
-            s.mshr_stalls,
-            s.writebacks,
-            s.evictions,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        r.tag(b"CACH")?;
-        let (valid, lines) = r.sparse::<_, LINE_RECORD>(self.tags.len(), |mut f| {
-            Ok(Line {
-                tag: f.u64(),
-                lru: f.u64(),
-                fill_at: Cycle(f.u64()),
-                dirty: match f.u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return Err("invalid dirty byte in a cache line"),
-                },
-            })
-        })?;
-        // Only the ways valid before or after need touching.
-        for i in set_bits(&self.valid) {
-            self.tags[i] = None;
-        }
-        self.valid = valid;
-        for (i, line) in set_bits(&self.valid).zip(lines) {
-            self.tags[i] = Some(line);
-        }
-        self.lru_clock = r.u64()?;
-        let ces = self.ce_misses.len();
-        r.seq_exact(ces, |r, i| {
-            self.ce_misses[i] = r.records::<_, 16>(|mut f| Ok((f.u64(), Cycle(f.u64()))))?;
-            Ok(())
-        })?;
-        self.bank_cycle = r.cycle()?;
-        r.u32s_into(&mut self.bank_used)?;
-        self.mem.load_state(r)?;
-        self.stats = CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            bank_stalls: r.u64()?,
-            mshr_stalls: r.u64()?,
-            writebacks: r.u64()?,
-            evictions: r.u64()?,
-        };
-        Ok(())
     }
 
     fn roll_cycle(&mut self, now: Cycle) {

@@ -24,6 +24,9 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::CcBusConfig;
+use crate::snapshot::{
+    codec, snapshot_state, Codec, Exact, Field, Nested, SnapReader, SnapResult, SnapWriter, Sorted,
+};
 use crate::time::Cycle;
 
 /// The Fx multiply-rotate hash: a few integer operations per word. The
@@ -113,6 +116,68 @@ pub struct CcBusStats {
     pub barrier_wait_cycles: u64,
     /// SDOALL values broadcast over the bus.
     pub sdoall_posts: u64,
+}
+
+codec!(struct CounterReq { ce, slot, epoch, chunk, limit });
+codec!(struct SdoallState { values, cursor, fetch_in_flight });
+codec!(struct CcBusStats {
+    dispatches, counter_requests, barrier_releases, barrier_arrivals, barrier_wait_cycles,
+    sdoall_posts,
+});
+
+// Counter values and SDOALL states go out in sorted `(slot, epoch)`
+// order so the bytes are deterministic; the pending dispatch queue keeps
+// its arrival order.
+snapshot_state! {
+    impl CcBus as this {
+        tag: b"CBUS",
+        saved: [
+            next_free, pending, values: Sorted, grants: Exact(Nested), waiters: Episodes,
+            sdoall: Sorted, releases: Exact(Nested), n_counters, stats,
+        ],
+        derived: [dispatch_cycles, join_cycles, start_cycles, posted],
+        after_load: check_restored,
+    }
+}
+
+/// The waiter buffer, grouped by barrier episode in sorted `(slot,
+/// epoch)` order: each episode's key, its arrival count and its waiters
+/// in arrival order.
+struct Episodes;
+
+impl Field<Vec<Waiter>> for Episodes {
+    fn put(&self, waiters: &Vec<Waiter>, w: &mut SnapWriter) {
+        let mut episodes: Vec<(usize, u64)> = waiters.iter().map(|x| x.episode).collect();
+        episodes.sort_unstable();
+        episodes.dedup();
+        w.seq(episodes.iter(), |w, k| {
+            k.put(w);
+            let arrived = waiters.iter().filter(|x| x.episode == *k).count();
+            w.u32(arrived as u32);
+            w.usize(arrived);
+            for x in waiters.iter().filter(|x| x.episode == *k) {
+                w.usize(x.ce);
+                w.cycle(x.since);
+            }
+        });
+    }
+
+    fn load(&self, waiters: &mut Vec<Waiter>, r: &mut SnapReader) -> SnapResult<()> {
+        waiters.clear();
+        for _ in 0..r.len()? {
+            let episode = Codec::get(r)?;
+            let arrived = r.u32()?;
+            let n = r.len()?;
+            if n != arrived as usize {
+                return Err(r.err_mismatch("barrier arrival count disagrees with its waiters"));
+            }
+            for _ in 0..n {
+                let (ce, since) = Codec::get(r)?;
+                waiters.push(Waiter { episode, ce, since });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One cluster's concurrency control bus.
@@ -328,151 +393,18 @@ impl CcBus {
         self.stats.sdoall_posts += 1;
     }
 
-    /// Serialize the bus. Counter values, barrier episodes and SDOALL
-    /// states are written in sorted `(slot, epoch)` order so the snapshot
-    /// bytes are deterministic; an episode's waiters and the pending
-    /// dispatch queue keep their arrival order.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::SnapWriter;
-        w.tag(b"CBUS");
-        w.cycle(self.next_free);
-        w.seq(self.pending.iter(), |w, req| {
-            w.usize(req.ce);
-            w.usize(req.slot);
-            w.u64(req.epoch);
-            w.u32(req.chunk);
-            w.u64(req.limit);
-        });
-        fn sorted_keys<V>(m: &EpochMap<V>) -> Vec<(usize, u64)> {
-            let mut keys: Vec<(usize, u64)> = m.keys().copied().collect();
-            keys.sort_unstable();
-            keys
-        }
-        let put_key = |w: &mut SnapWriter, k: &(usize, u64)| {
-            w.usize(k.0);
-            w.u64(k.1);
-        };
-        w.seq(sorted_keys(&self.values).iter(), |w, k| {
-            put_key(w, k);
-            w.u64(self.values[k]);
-        });
-        w.seq(self.grants.iter(), |w, g| {
-            w.opt(g.as_ref(), |w, v| w.u64(*v));
-        });
-        let mut episodes: Vec<(usize, u64)> = self.waiters.iter().map(|x| x.episode).collect();
-        episodes.sort_unstable();
-        episodes.dedup();
-        w.seq(episodes.iter(), |w, k| {
-            put_key(w, k);
-            let arrived = self.waiters.iter().filter(|x| x.episode == *k).count();
-            w.u32(arrived as u32);
-            w.usize(arrived);
-            for x in self.waiters.iter().filter(|x| x.episode == *k) {
-                w.usize(x.ce);
-                w.cycle(x.since);
-            }
-        });
-        w.seq(sorted_keys(&self.sdoall).iter(), |w, k| {
-            put_key(w, k);
-            let st = &self.sdoall[k];
-            w.seq(st.values.iter(), |w, v| w.u64(*v));
-            w.seq(st.cursor.iter(), |w, c| w.usize(*c));
-            w.bool(st.fetch_in_flight);
-        });
-        w.seq(self.releases.iter(), |w, rel| {
-            w.opt(rel.as_ref(), |w, at| w.cycle(*at));
-        });
-        w.usize(self.n_counters);
-        let s = &self.stats;
-        for v in [
-            s.dispatches,
-            s.counter_requests,
-            s.barrier_releases,
-            s.barrier_arrivals,
-            s.barrier_wait_cycles,
-            s.sdoall_posts,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        r.tag(b"CBUS")?;
-        self.next_free = r.cycle()?;
-        self.pending = r
-            .seq(|r| {
-                Ok(CounterReq {
-                    ce: r.usize()?,
-                    slot: r.usize()?,
-                    epoch: r.u64()?,
-                    chunk: r.u32()?,
-                    limit: r.u64()?,
-                })
-            })?
-            .into_iter()
-            .collect();
-        let key =
-            |r: &mut crate::snapshot::SnapReader| -> crate::snapshot::SnapResult<(usize, u64)> {
-                Ok((r.usize()?, r.u64()?))
-            };
-        self.values = r.seq(|r| Ok((key(r)?, r.u64()?)))?.into_iter().collect();
+    /// Check the restored per-CE indexes against the cluster's CEs and
+    /// recount the posted flags.
+    fn check_restored(&mut self, r: &SnapReader) -> SnapResult<()> {
         let ces = self.grants.len();
-        r.seq_exact(ces, |r, i| {
-            self.grants[i] = r.opt(|r| r.u64())?;
-            Ok(())
-        })?;
-        self.waiters.clear();
-        for _ in 0..r.len()? {
-            let episode = key(r)?;
-            let arrived = r.u32()?;
-            let n = r.len()?;
-            if n != arrived as usize {
-                return Err(r.err_mismatch("barrier arrival count disagrees with its waiters"));
-            }
-            for _ in 0..n {
-                let ce = r.usize()?;
-                if ce >= ces {
-                    return Err(r.err_mismatch("barrier waiter beyond the cluster's CEs"));
-                }
-                let since = r.cycle()?;
-                self.waiters.push(Waiter { episode, ce, since });
-            }
+        if self.pending.iter().any(|req| req.ce >= ces) {
+            return Err(r.err_mismatch("queued dispatch `ce` beyond the cluster's CEs"));
         }
-        self.sdoall = r
-            .seq(|r| {
-                let k = key(r)?;
-                let values = r.seq(|r| r.u64())?;
-                let cursor = r.seq(|r| r.usize())?;
-                let fetch_in_flight = r.bool()?;
-                Ok((
-                    k,
-                    SdoallState {
-                        values,
-                        cursor,
-                        fetch_in_flight,
-                    },
-                ))
-            })?
-            .into_iter()
-            .collect();
-        r.seq_exact(ces, |r, i| {
-            self.releases[i] = r.opt(|r| r.cycle())?;
-            Ok(())
-        })?;
+        if self.waiters.iter().any(|x| x.ce >= ces) {
+            return Err(r.err_mismatch("barrier waiter beyond the cluster's CEs"));
+        }
         self.posted = self.grants.iter().filter(|g| g.is_some()).count()
             + self.releases.iter().filter(|r| r.is_some()).count();
-        self.n_counters = r.usize()?;
-        self.stats = CcBusStats {
-            dispatches: r.u64()?,
-            counter_requests: r.u64()?,
-            barrier_releases: r.u64()?,
-            barrier_arrivals: r.u64()?,
-            barrier_wait_cycles: r.u64()?,
-            sdoall_posts: r.u64()?,
-        };
         Ok(())
     }
 
@@ -497,7 +429,7 @@ impl CcBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{SnapReader, SnapWriter};
+    use crate::snapshot::{SnapReader, SnapWriter, State};
 
     fn bus() -> CcBus {
         CcBus::new(&CcBusConfig::cedar(), 8)
@@ -505,7 +437,7 @@ mod tests {
 
     fn save(b: &CcBus) -> Vec<u8> {
         let mut w = SnapWriter::fragment();
-        b.save_state(&mut w);
+        b.save(&mut w);
         w.into_fragment()
     }
 
@@ -668,7 +600,7 @@ mod tests {
     /// posted releases and SDOALL state, and the restored bus carries on
     /// exactly like the original.
     #[test]
-    fn save_load_save_is_byte_equal_with_live_state() {
+    fn snapshot_codec_save_load_save_is_byte_equal_with_live_state() {
         let mut b = bus();
         let slot = b.alloc_counter();
         b.request_counter(2, slot, 0, 1, 10);
@@ -686,7 +618,7 @@ mod tests {
 
         let mut c = bus();
         c.alloc_counter();
-        c.load_state(&mut SnapReader::new(&image)).unwrap();
+        c.load(&mut SnapReader::new(&image)).unwrap();
         assert_eq!(save(&c), image);
         assert_eq!(c.next_event(Cycle(4)), b.next_event(Cycle(4)));
 
@@ -699,6 +631,20 @@ mod tests {
         assert_eq!(save(&c), save(&b));
         assert_eq!(c.take_release(0), Some(Cycle(13)));
         assert_eq!(c.take_release(1), None, "epoch 0 still waits");
+    }
+
+    /// A crafted image whose queued dispatch names a CE beyond the
+    /// cluster is refused by name; it used to reach `self.grants[req.ce]`
+    /// and panic at the grant.
+    #[test]
+    fn snapshot_codec_rejects_a_queued_dispatch_beyond_the_cluster() {
+        let mut b = bus();
+        let slot = b.alloc_counter();
+        b.request_counter(2, slot, 0, 1, 10);
+        b.pending[0].ce = 99;
+        let image = save(&b);
+        let e = bus().load(&mut SnapReader::new(&image)).unwrap_err();
+        assert!(e.0.contains("queued dispatch `ce`"), "{}", e.0);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 use crate::monitor::Histogrammer;
 use crate::network::packet::{MemReply, Packet, Payload};
+use crate::snapshot::{codec, snapshot_state, SnapReader, SnapResult};
 use crate::time::Cycle;
 
 /// Bins of the retry-latency histogram (issue-to-completion cycles for
@@ -273,26 +274,27 @@ impl FaultSchedule {
         self.events.get(self.next).map(|&(at, _)| at.max(now + 1))
     }
 
-    /// Only the cursor is mutable state: the transition list is rebuilt
-    /// from the plan. The *effects* of already-applied transitions (downed
-    /// ports, offline modules) live in the network and module snapshots.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.next);
-    }
-
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        let next = r.usize()?;
-        if next > self.events.len() {
+    /// The cursor must point into the transition list.
+    fn check_cursor(&self, r: &SnapReader) -> SnapResult<()> {
+        if self.next > self.events.len() {
             return Err(r.err_mismatch(&format!(
-                "fault-schedule cursor {next} past the plan's {} transitions",
+                "fault-schedule cursor {} past the plan's {} transitions",
+                self.next,
                 self.events.len()
             )));
         }
-        self.next = next;
         Ok(())
+    }
+}
+
+// Only the cursor is mutable state: the transition list is rebuilt from
+// the plan. The *effects* of already-applied transitions (downed ports,
+// offline modules) live in the network and module snapshots.
+snapshot_state! {
+    impl FaultSchedule as this {
+        saved: [next],
+        derived: [events],
+        after_load: check_cursor,
     }
 }
 
@@ -486,50 +488,17 @@ impl CeFaultCtl {
     pub(crate) fn retry_latency(&self) -> &Histogrammer {
         &self.retry_latency
     }
+}
 
-    /// Serialize tracked operations, counters, the retry-latency
-    /// histogram and the exhaustion latch. Timeout/budget parameters come
-    /// from the plan on reconstruction.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        use crate::snapshot::put_packet;
-        w.seq(self.ops.iter(), |w, op| {
-            w.u64(op.seq);
-            put_packet(w, &op.pkt);
-            w.cycle(op.first_issued);
-            w.u32(op.attempts);
-            w.cycle(op.at);
-            w.bool(op.awaiting);
-        });
-        w.u64(self.stats.retries);
-        w.u64(self.stats.nacks);
-        w.u64(self.stats.timeouts);
-        self.retry_latency.save_state(w);
-        w.opt(self.exhausted.as_ref(), |w, s| w.str(s));
-    }
+codec!(struct FaultCtlStats { retries, nacks, timeouts });
+codec!(struct TrackedOp { seq, pkt, first_issued, attempts, at, awaiting });
 
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        use crate::snapshot::get_packet;
-        self.ops = r.seq(|r| {
-            Ok(TrackedOp {
-                seq: r.u64()?,
-                pkt: get_packet(r)?,
-                first_issued: r.cycle()?,
-                attempts: r.u32()?,
-                at: r.cycle()?,
-                awaiting: r.bool()?,
-            })
-        })?;
-        self.stats = FaultCtlStats {
-            retries: r.u64()?,
-            nacks: r.u64()?,
-            timeouts: r.u64()?,
-        };
-        self.retry_latency = Histogrammer::decode(r)?;
-        self.exhausted = r.opt(|r| r.str())?;
-        Ok(())
+// Tracked operations, counters, the retry-latency histogram and the
+// exhaustion latch; the timeout and retry budget come from the plan.
+snapshot_state! {
+    impl CeFaultCtl as this {
+        saved: [ops, stats, retry_latency, exhausted],
+        derived: [timeout, max_retries],
     }
 }
 

@@ -7,6 +7,7 @@
 //! line fills and write-backs against it.
 
 use crate::config::ClusterMemoryConfig;
+use crate::snapshot::{codec, snapshot_state};
 use crate::time::Cycle;
 
 /// Statistics for one cluster memory.
@@ -20,6 +21,8 @@ pub struct ClusterMemStats {
     pub words: u64,
 }
 
+codec!(struct ClusterMemStats { fills, writebacks, words });
+
 /// One cluster's interleaved local memory.
 #[derive(Debug)]
 pub struct ClusterMemory {
@@ -28,6 +31,13 @@ pub struct ClusterMemory {
     /// First cycle at which the memory bus is free.
     next_free: Cycle,
     stats: ClusterMemStats,
+}
+
+snapshot_state! {
+    impl ClusterMemory as this {
+        saved: [next_free, stats],
+        derived: [words_per_cycle, latency],
+    }
 }
 
 impl ClusterMemory {
@@ -64,26 +74,6 @@ impl ClusterMemory {
     /// Statistics so far.
     pub fn stats(&self) -> ClusterMemStats {
         self.stats
-    }
-
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.cycle(self.next_free);
-        w.u64(self.stats.fills);
-        w.u64(self.stats.writebacks);
-        w.u64(self.stats.words);
-    }
-
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        self.next_free = r.cycle()?;
-        self.stats = ClusterMemStats {
-            fills: r.u64()?,
-            writebacks: r.u64()?,
-            words: r.u64()?,
-        };
-        Ok(())
     }
 
     fn occupy(&mut self, now: Cycle, words: u32) -> Cycle {

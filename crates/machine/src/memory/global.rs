@@ -12,6 +12,7 @@ use crate::memory::address::module_of;
 use crate::memory::module::{Module, ModuleStats};
 use crate::network::packet::{Packet, Payload};
 use crate::network::{NetSink, Omega};
+use crate::snapshot::{snapshot_state, Exact, Nested, SnapReader, SnapResult};
 use crate::time::Cycle;
 
 /// The global-memory module array. Aligned like [`Omega`]: a two-lane run
@@ -32,6 +33,18 @@ pub struct GlobalMemory {
     /// epoch (see `Omega::tick_epoch`).
     accept_epoch: u64,
     dropped_replies: u64,
+}
+
+// The acceptance epoch and every module in bank order; the module count
+// is checked against the configuration on restore. The active mask is an
+// index over the modules, not state of its own.
+snapshot_state! {
+    impl GlobalMemory as this {
+        tag: b"GMEM",
+        saved: [accept_epoch, dropped_replies, modules: Exact(Nested)],
+        derived: [active],
+        after_load: rebuild_active,
+    }
 }
 
 impl GlobalMemory {
@@ -198,28 +211,9 @@ impl GlobalMemory {
         }
     }
 
-    /// Serialize the array: the acceptance epoch and every module in bank
-    /// order. The stored module count is checked against the
-    /// configuration on restore. The active mask is an index over the
-    /// modules, not state of its own, and is not written.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.tag(b"GMEM");
-        w.u64(self.accept_epoch);
-        w.u64(self.dropped_replies);
-        w.seq(self.modules.iter(), |w, m| m.save_state(w));
-    }
-
-    /// Restore the modules and rebuild the active mask from them rather
-    /// than trusting the image for it: a bit per module left non-idle.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        r.tag(b"GMEM")?;
-        self.accept_epoch = r.u64()?;
-        self.dropped_replies = r.u64()?;
-        let n = self.modules.len();
-        r.seq_exact(n, |r, i| self.modules[i].load_state(r))?;
+    /// Rebuild the active mask from the restored modules rather than
+    /// trusting the image for it: a bit per module left non-idle.
+    fn rebuild_active(&mut self, _: &SnapReader) -> SnapResult<()> {
         self.active.fill(0);
         for (i, m) in self.modules.iter().enumerate() {
             if !m.is_idle() {

@@ -11,8 +11,9 @@ use crate::ids::CeId;
 use crate::memory::sync_store::SyncStore;
 use crate::network::packet::{MemReply, MemRequest, Packet, RequestKind, Stream};
 use crate::network::Omega;
-use crate::snapshot::{get_packet, get_request, put_packet, put_request};
-use crate::snapshot::{SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{
+    codec, snapshot_state, Codec, Echo, SnapReader, SnapResult, SnapWriter, Sorted, State,
+};
 use crate::time::Cycle;
 use crate::trace::{hop, TraceBuf, TraceEvent, MODULE_TRACE_CAP};
 
@@ -110,6 +111,67 @@ impl ReqRing {
         }
         self.len -= 1;
         Some(req)
+    }
+}
+
+/// The queue is written front-to-back and replayed through `push_back`
+/// on restore, so the ring's internal `head` need not match — only the
+/// FIFO contents do.
+impl State for ReqRing {
+    fn save(&self, w: &mut SnapWriter) {
+        let at = |j: usize| &self.buf[(self.head + j) % self.buf.len()];
+        w.seq((0..self.len).map(at), |w, req| req.put(w));
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> SnapResult<()> {
+        let queued = Vec::<MemRequest>::get(r)?;
+        if queued.len() > self.buf.len() {
+            return Err(r.err_mismatch(&format!(
+                "module queue holds {} requests, capacity is {}",
+                queued.len(),
+                self.buf.len()
+            )));
+        }
+        self.head = 0;
+        self.len = 0;
+        for req in queued {
+            self.push_back(req);
+        }
+        Ok(())
+    }
+}
+
+/// The sync words go out in sorted address order (the store iterates in
+/// hash order).
+impl State for SyncStore {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut words: Vec<(u64, i32)> = self.iter().collect();
+        words.sort_unstable();
+        words.put(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> SnapResult<()> {
+        self.clear();
+        for (addr, value) in Vec::<(u64, i32)>::get(r)? {
+            *self.get_or_insert(addr) = value;
+        }
+        Ok(())
+    }
+}
+
+codec!(struct ModuleStats {
+    requests, sync_requests, busy_cycles, reply_stall_cycles, queue_occupancy_sum,
+    conflict_stall_cycles, nacks,
+});
+
+snapshot_state! {
+    impl Module as this {
+        tag: b"MODL",
+        saved: [
+            port: Echo("module port"), queue, current, pending_reply, sync_vars, offline,
+            sync_dedup: Sorted, stats, trace,
+        ],
+        derived: [service_cycles, sync_extra_cycles],
     }
 }
 
@@ -325,114 +387,6 @@ impl Module {
             }
         }
         false
-    }
-
-    /// Serialize mutable state. The queue is written front-to-back and
-    /// replayed through `push_back` on restore, so the ring's internal
-    /// `head` need not match — only the FIFO contents do. The sync words
-    /// and dedup slots are written in sorted key order because their maps
-    /// iterate in hash order.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.tag(b"MODL");
-        w.usize(self.port);
-        let mut queued: Vec<&MemRequest> = Vec::with_capacity(self.queue.len());
-        {
-            let mut idx = self.queue.head;
-            for _ in 0..self.queue.len {
-                queued.push(&self.queue.buf[idx]);
-                idx += 1;
-                if idx == self.queue.buf.len() {
-                    idx = 0;
-                }
-            }
-        }
-        w.seq(queued.into_iter(), put_request);
-        w.opt(self.current.as_ref(), |w, (req, done)| {
-            put_request(w, req);
-            w.cycle(*done);
-        });
-        w.opt(self.pending_reply.as_ref(), put_packet);
-        let mut words: Vec<(u64, i32)> = self.sync_vars.iter().collect();
-        words.sort_unstable();
-        w.seq(words.iter(), |w, (addr, value)| {
-            w.u64(*addr);
-            w.i32(*value);
-        });
-        w.bool(self.offline);
-        let mut dedup: Vec<(usize, u64, i64)> = self
-            .sync_dedup
-            .iter()
-            .map(|(&ce, &(seq, value))| (ce, seq, value))
-            .collect();
-        dedup.sort_unstable();
-        w.seq(dedup.iter(), |w, (ce, seq, value)| {
-            w.usize(*ce);
-            w.u64(*seq);
-            w.i64(*value);
-        });
-        let s = &self.stats;
-        for v in [
-            s.requests,
-            s.sync_requests,
-            s.busy_cycles,
-            s.reply_stall_cycles,
-            s.queue_occupancy_sum,
-            s.conflict_stall_cycles,
-            s.nacks,
-        ] {
-            w.u64(v);
-        }
-        self.trace.save_state(w);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        r.tag(b"MODL")?;
-        let port = r.usize()?;
-        if port != self.port {
-            return Err(r.err_mismatch(&format!(
-                "module port {} in snapshot, machine has module {}",
-                port, self.port
-            )));
-        }
-        let queued = r.seq(get_request)?;
-        if queued.len() > self.queue.buf.len() {
-            return Err(r.err_mismatch(&format!(
-                "module {} queue holds {} requests, capacity is {}",
-                port,
-                queued.len(),
-                self.queue.buf.len()
-            )));
-        }
-        self.queue.head = 0;
-        self.queue.len = 0;
-        for req in queued {
-            self.queue.push_back(req);
-        }
-        self.current = r.opt(|r| {
-            let req = get_request(r)?;
-            let done = r.cycle()?;
-            Ok((req, done))
-        })?;
-        self.pending_reply = r.opt(get_packet)?;
-        self.sync_vars.clear();
-        for (addr, value) in r.seq(|r| Ok((r.u64()?, r.i32()?)))? {
-            *self.sync_vars.get_or_insert(addr) = value;
-        }
-        self.offline = r.bool()?;
-        self.sync_dedup = r
-            .seq(|r| Ok((r.usize()?, (r.u64()?, r.i64()?))))?
-            .into_iter()
-            .collect();
-        self.stats = ModuleStats {
-            requests: r.u64()?,
-            sync_requests: r.u64()?,
-            busy_cycles: r.u64()?,
-            reply_stall_cycles: r.u64()?,
-            queue_occupancy_sum: r.u64()?,
-            conflict_stall_cycles: r.u64()?,
-            nacks: r.u64()?,
-        };
-        self.trace.load_state(r)
     }
 
     fn make_reply(&mut self, req: MemRequest) -> Packet {

@@ -7,7 +7,9 @@
 //! simulator provides the same two devices; the prefetch-latency numbers
 //! of Table 2 come from probes built on them.
 
-use crate::snapshot::{RecordWriter, SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{
+    snapshot_state, Codec, RecordWriter, Records, SnapReader, SnapResult, SnapWriter,
+};
 use crate::time::Cycle;
 
 /// Default tracer capacity: 1 M events, as on the real hardware.
@@ -82,20 +84,13 @@ impl EventTracer {
         self.events.clear();
         self.dropped = 0;
     }
+}
 
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.records(self.events.iter(), |&(at, tag)| {
-            RecordWriter::<12>::new().u64(at.0).u32(tag).done()
-        });
-        w.u64(self.dropped);
-    }
-
-    /// Restore events and the drop count; capacity stays whatever this
-    /// tracer was constructed with (it is configuration, not state).
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.events = r.records::<_, 12>(|mut f| Ok((Cycle(f.u64()), f.u32())))?;
-        self.dropped = r.u64()?;
-        Ok(())
+// The capacity is configuration, not state.
+snapshot_state! {
+    impl EventTracer as this {
+        saved: [events: Records, dropped],
+        derived: [capacity],
     }
 }
 
@@ -231,12 +226,13 @@ impl Histogrammer {
     pub fn clear(&mut self) {
         self.bins.iter_mut().for_each(|b| *b = 0);
     }
+}
 
-    /// Sparse snapshot encoding: bin count, then `(index, count)` records
-    /// for the non-zero bins. Most of the machine's histograms are 64 K
-    /// bins with a handful occupied; dense encoding would dominate the
-    /// snapshot.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+/// Sparse snapshot encoding: bin count, then `(index, count)` records for
+/// the non-zero bins. Most of the machine's histograms are 64 K bins with
+/// a handful occupied; dense encoding would dominate the snapshot.
+impl Codec for Histogrammer {
+    fn put(&self, w: &mut SnapWriter) {
         w.usize(self.bins.len());
         let occupied = self.bins.iter().enumerate().filter(|(_, &b)| b != 0);
         w.records(occupied, |(i, &b)| {
@@ -244,11 +240,13 @@ impl Histogrammer {
         });
     }
 
-    /// Decode a histogram written by [`Histogrammer::save_state`].
-    pub(crate) fn decode(r: &mut SnapReader) -> SnapResult<Histogrammer> {
-        let len = r.len()?;
-        if len == 0 {
-            return Err(r.err_invalid("histogram bin count", 0));
+    fn get(r: &mut SnapReader) -> SnapResult<Histogrammer> {
+        // The bin count sizes an allocation but is not a count of the
+        // bytes behind it (only occupied bins are), so it is bounded by
+        // the hardware's size rather than by the bytes left.
+        let len = r.usize()?;
+        if !(1..=HISTOGRAM_BINS).contains(&len) {
+            return Err(r.err_mismatch(&format!("histogram of {len} bins (1 to {HISTOGRAM_BINS})")));
         }
         let mut h = Histogrammer::with_bins(len);
         for (i, b) in r.records::<_, 8>(|mut f| Ok((f.u32(), f.u32())))? {
@@ -294,6 +292,27 @@ mod tests {
         h.clear();
         assert_eq!(h.total(), 0);
         assert_eq!(h.mean(), 0.0);
+    }
+
+    /// A sparse histogram's bin count is not backed by bytes: an empty
+    /// 8 K-bin histogram decodes at the very end of an image, and a bin
+    /// count past the hardware's 64 K is refused before it allocates.
+    #[test]
+    fn snapshot_codec_histogram_bin_count_is_not_bounded_by_the_bytes_left() {
+        let encode = |h: &Histogrammer| {
+            let mut w = SnapWriter::fragment();
+            h.put(&mut w);
+            w.into_fragment()
+        };
+        let mut h = Histogrammer::with_bins(8192);
+        let empty = encode(&h);
+        assert_eq!(Histogrammer::get(&mut SnapReader::new(&empty)).unwrap(), h);
+        h.record(7);
+        let one = encode(&h);
+        assert_eq!(Histogrammer::get(&mut SnapReader::new(&one)).unwrap(), h);
+        let huge = encode(&Histogrammer::with_bins(HISTOGRAM_BINS + 1));
+        let e = Histogrammer::get(&mut SnapReader::new(&huge)).unwrap_err();
+        assert!(e.0.contains("histogram of 65537 bins"), "{}", e.0);
     }
 
     #[test]

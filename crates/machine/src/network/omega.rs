@@ -1236,44 +1236,97 @@ impl Omega {
     }
 }
 
-use crate::snapshot::{get_packet, put_packet, RecordWriter, SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{
+    codec, snapshot_state, Codec, Exact, Field, Fixed, Nested, Prefix, Present, RecordWriter,
+    SnapReader, SnapResult, SnapWriter,
+};
 
 /// Snapshot bytes of one queued [`Flit`]: packet id, head/tail flags,
 /// route.
 const FLIT_RECORD: usize = 6;
 
-impl Omega {
-    /// Serialize the network's complete mutable state. Config-derived
-    /// tables (shuffle, routing, switch/subport maps), the fault seeds
-    /// and the cached stall charge are not written: the first two are
-    /// rebuilt by [`Omega::new`], the seeds come from the fault plan,
-    /// and the stall cache is recomputed bit-identically by the next
-    /// tick.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.tag(b"OMGA");
-        // In-flight packet slab first: queued flits reference its ids.
-        w.seq(self.slab.iter(), |w, slot| match slot {
-            Slot::Live(pkt) => {
-                w.u8(1);
-                put_packet(w, pkt);
-            }
-            Slot::Free { next } => {
-                w.u8(0);
-                w.u32(*next);
-            }
-        });
-        w.u32(self.free_head);
-        // Stage queues: every queue's length, then the queued words of all
-        // of them front-to-back in queue order. The physical ring heads
-        // are not state.
-        w.bytes(&self.qlen);
-        let queued = (0..self.stages * self.size).flat_map(|idx| {
-            (0..usize::from(self.qlen[idx])).map(move |j| {
-                let mut slot = usize::from(self.qhead[idx]) + j;
-                if slot >= self.queue_cap {
-                    slot -= self.queue_cap;
+codec!(enum Slot as "slab slot kind" {
+    1 => Live(pkt),
+    0 => Free { next },
+});
+codec!(struct Assembler { accepted });
+codec!(struct NetStats {
+    packets_injected, packets_delivered, words_moved, blocked_moves, arbitration_losses,
+    link_blocked, drops, nacks,
+});
+
+/// The ring goes out in FIFO order; its physical head is not state.
+impl Codec for Injector {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u8(self.len);
+        w.u8(self.words_sent);
+        for slot in 0..self.len() {
+            self.slots[(usize::from(self.head) + slot) % INJ_CAP].put(w);
+        }
+    }
+
+    fn get(r: &mut SnapReader) -> SnapResult<Injector> {
+        let len = r.u8()?;
+        if usize::from(len) > INJ_CAP {
+            return Err(r.err_mismatch("injector ring deeper than its capacity"));
+        }
+        let mut inj = Injector {
+            len,
+            words_sent: r.u8()?,
+            ..Injector::default()
+        };
+        for slot in &mut inj.slots[..usize::from(len)] {
+            *slot = Codec::get(r)?;
+        }
+        Ok(inj)
+    }
+}
+
+// The seeds and rates come from the fault plan.
+snapshot_state! {
+    impl NetFaults as this {
+        saved: [inj_seq: Fixed, down: Exact(Nested), doom],
+        derived: [seed, salt, drop_ppm, nack_ppm],
+    }
+}
+
+// Config-derived tables (shuffle, routing, switch/subport maps) are
+// rebuilt by `Omega::new`, and the occupancy indexes and the stall cache
+// from the restored queues (`Omega::rebuild_indexes`). The in-flight
+// packet slab comes first: queued flits reference its ids.
+snapshot_state! {
+    impl Omega as this {
+        tag: b"OMGA",
+        saved: [
+            slab, free_head, qlen: Fixed, [qhead, qbuf]: QueuedFlits, locks: Fixed,
+            locked_to: Fixed, rr: Fixed, injectors: Exact(Nested), assemblers: Exact(Nested),
+            stats, stage_conflicts: Prefix(this.stages), stage_blocked: Prefix(this.stages),
+            queue_depth, stall_replays, faults: Present("network fault injection"),
+            trace: Present("network tracing"),
+        ],
+        derived: [
+            radix, stages, size, queue_cap, words_per_cycle, injector_cap, pending_injections,
+            inject_ports, in_flight, stage_words, switch_words, front_out, shuffle_tab, route_tab,
+            sw_of, sub_of, switch_busy, mask_chunks, reference, stall,
+        ],
+        after_load: rebuild_indexes,
+    }
+}
+
+/// The queued words of every stage queue, front to back in queue order,
+/// behind the queue lengths (`qlen`). Restored queues start at slot 0:
+/// the physical ring heads are not state.
+struct QueuedFlits;
+
+impl Field<Omega> for QueuedFlits {
+    fn put(&self, o: &Omega, w: &mut SnapWriter) {
+        let queued = (0..o.stages * o.size).flat_map(|idx| {
+            (0..usize::from(o.qlen[idx])).map(move |j| {
+                let mut slot = usize::from(o.qhead[idx]) + j;
+                if slot >= o.queue_cap {
+                    slot -= o.queue_cap;
                 }
-                self.qbuf[idx * self.queue_cap + slot]
+                o.qbuf[idx * o.queue_cap + slot]
             })
         });
         w.records(queued, |f| {
@@ -1283,75 +1336,16 @@ impl Omega {
                 .u8(f.route)
                 .done()
         });
-        w.u32s(&self.locks);
-        w.bytes(&self.locked_to);
-        w.bytes(&self.rr);
-        w.seq(self.injectors.iter(), |w, inj| {
-            w.u8(inj.len);
-            w.u8(inj.words_sent);
-            for slot in 0..inj.len() {
-                let (pkt, words) = inj.slots[(usize::from(inj.head) + slot) % INJ_CAP];
-                w.u32(pkt);
-                w.u8(words);
-            }
-        });
-        w.seq(self.assemblers.iter(), |w, a| w.bool(a.accepted));
-        w.u64(self.stats.packets_injected);
-        w.u64(self.stats.packets_delivered);
-        w.u64(self.stats.words_moved);
-        w.u64(self.stats.blocked_moves);
-        w.u64(self.stats.arbitration_losses);
-        w.u64(self.stats.link_blocked);
-        w.u64(self.stats.drops);
-        w.u64(self.stats.nacks);
-        w.u64s(self.stage_conflicts());
-        w.u64s(self.stage_blocked());
-        self.queue_depth.save_state(w);
-        w.u64(self.stall_replays);
-        w.opt(self.faults.as_deref(), |w, f| {
-            w.u64s(&f.inj_seq);
-            w.seq(f.down.iter(), |w, v| w.bool(*v));
-            w.seq(f.doom.iter(), |w, v| w.bool(*v));
-        });
-        w.opt(self.trace.as_deref(), |w, t| t.save_state(w));
     }
 
-    /// Restore state written by [`Omega::save_state`] into a network
-    /// built with the identical configuration. Derived occupancy indexes
-    /// (stage/switch word counts, busy masks, cached fronts, injection
-    /// mask) are rebuilt from the restored queues rather than trusted
-    /// from the snapshot.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        r.tag(b"OMGA")?;
-        self.slab = r.seq(|r| match r.u8()? {
-            0 => Ok(Slot::Free { next: r.u32()? }),
-            1 => Ok(Slot::Live(get_packet(r)?)),
-            b => Err(r.err_invalid("slab slot kind", b)),
-        })?;
-        self.free_head = r.u32()?;
-        let slots = self.slab.len() as u32;
-        if self.free_head != NO_PACKET && self.free_head >= slots {
-            return Err(r.err_mismatch("slab free head out of range"));
-        }
-        for slot in &self.slab {
-            if let Slot::Free { next } = slot {
-                if *next != NO_PACKET && *next >= slots {
-                    return Err(r.err_mismatch("slab free link out of range"));
-                }
-            }
-        }
-        self.in_flight = self
-            .slab
-            .iter()
-            .filter(|s| matches!(s, Slot::Live(_)))
-            .count();
-        r.bytes_into(&mut self.qlen)?;
-        if self.qlen.iter().any(|&n| usize::from(n) > self.queue_cap) {
+    fn load(&self, o: &mut Omega, r: &mut SnapReader) -> SnapResult<()> {
+        if o.qlen.iter().any(|&n| usize::from(n) > o.queue_cap) {
             return Err(r.err_mismatch("stage queue deeper than its capacity"));
         }
+        let slots = o.slab.len();
         let queued = r.records::<_, FLIT_RECORD>(|mut f| {
             let (pkt, flags, route) = (f.u32(), f.u8(), f.u8());
-            if pkt >= slots {
+            if pkt as usize >= slots {
                 return Err("queued flit references no slab slot");
             }
             if flags > 3 {
@@ -1364,84 +1358,49 @@ impl Omega {
                 route,
             })
         })?;
-        if queued.len() != self.qlen.iter().map(|&n| usize::from(n)).sum::<usize>() {
+        if queued.len() != o.qlen.iter().map(|&n| usize::from(n)).sum::<usize>() {
             return Err(r.err_mismatch("queued flit count disagrees with the queue lengths"));
         }
         let mut queued = queued.into_iter();
-        for idx in 0..self.stages * self.size {
-            self.qhead[idx] = 0;
-            let at = idx * self.queue_cap;
-            let len = usize::from(self.qlen[idx]);
-            for (slot, f) in self.qbuf[at..at + len].iter_mut().zip(&mut queued) {
+        for idx in 0..o.stages * o.size {
+            o.qhead[idx] = 0;
+            let at = idx * o.queue_cap;
+            let len = usize::from(o.qlen[idx]);
+            for (slot, f) in o.qbuf[at..at + len].iter_mut().zip(&mut queued) {
                 *slot = f;
             }
         }
-        r.u32s_into(&mut self.locks)?;
-        r.bytes_into(&mut self.locked_to)?;
-        r.bytes_into(&mut self.rr)?;
-        r.seq_exact(self.size, |r, port| {
-            let len = r.u8()?;
-            if usize::from(len) > INJ_CAP {
-                return Err(r.err_mismatch("injector ring deeper than its capacity"));
-            }
-            let words_sent = r.u8()?;
-            let inj = &mut self.injectors[port];
-            *inj = Injector::default();
-            inj.len = len;
-            inj.words_sent = words_sent;
-            for slot in 0..usize::from(len) {
-                let pkt = r.u32()?;
-                let words = r.u8()?;
-                inj.slots[slot] = (pkt, words);
-            }
-            Ok(())
-        })?;
-        r.seq_exact(self.size, |r, port| {
-            self.assemblers[port].accepted = r.bool()?;
-            Ok(())
-        })?;
-        self.stats.packets_injected = r.u64()?;
-        self.stats.packets_delivered = r.u64()?;
-        self.stats.words_moved = r.u64()?;
-        self.stats.blocked_moves = r.u64()?;
-        self.stats.arbitration_losses = r.u64()?;
-        self.stats.link_blocked = r.u64()?;
-        self.stats.drops = r.u64()?;
-        self.stats.nacks = r.u64()?;
-        r.u64s_into(&mut self.stage_conflicts[..self.stages])?;
-        r.u64s_into(&mut self.stage_blocked[..self.stages])?;
-        self.queue_depth = Histogrammer::decode(r)?;
-        self.stall_replays = r.u64()?;
-        let had_faults = r.bool()?;
-        match (had_faults, self.faults.as_deref_mut()) {
-            (true, Some(f)) => {
-                r.u64s_into(&mut f.inj_seq)?;
-                let down = r.seq(|r| r.bool())?;
-                if down.len() != f.down.len() {
-                    return Err(r.err_mismatch("fault-outage port count"));
-                }
-                f.down = down;
-                f.doom = r.seq(|r| r.bool())?;
-            }
-            (false, None) => {}
-            _ => {
-                return Err(r.err_mismatch(
-                    "snapshot fault-injection state disagrees with this machine's fault plan",
-                ));
-            }
+        Ok(())
+    }
+}
+
+impl Omega {
+    /// Check the restored packet references against the slab, and rebuild
+    /// the derived occupancy indexes (stage/switch word counts, busy
+    /// masks, cached fronts, injection mask) from the restored queues
+    /// rather than trusting them from the image. The stall cache is
+    /// dropped: the next tick recomputes it bit-identically.
+    fn rebuild_indexes(&mut self, r: &SnapReader) -> SnapResult<()> {
+        let slots = self.slab.len();
+        let in_range = |id: PacketId| id == NO_PACKET || (id as usize) < slots;
+        if !in_range(self.free_head) {
+            return Err(r.err_mismatch("slab free head out of range"));
         }
-        let had_trace = r.bool()?;
-        match (had_trace, self.trace.as_deref_mut()) {
-            (true, Some(t)) => t.load_state(r)?,
-            (false, None) => {}
-            _ => {
-                return Err(r.err_mismatch(
-                    "snapshot network-tracing state disagrees with this machine's tracing setup",
-                ));
-            }
+        let free_links = self.slab.iter().filter_map(|slot| match slot {
+            Slot::Free { next } => Some(*next),
+            Slot::Live(_) => None,
+        });
+        if !free_links.clone().all(in_range) {
+            return Err(r.err_mismatch("slab free link out of range"));
         }
-        // Rebuild the derived occupancy indexes; drop the stall cache (the
-        // next tick recomputes it bit-identically).
+        let injected = self
+            .injectors
+            .iter()
+            .flat_map(|inj| inj.slots[..inj.len()].iter());
+        if injected.clone().any(|&(pkt, _)| pkt as usize >= slots) {
+            return Err(r.err_mismatch("injector slot `pkt` references no slab slot"));
+        }
+        self.in_flight = slots - free_links.count();
         self.pending_injections = self.injectors.iter().map(Injector::len).sum();
         self.inject_ports = LineMask::new(self.size);
         for port in 0..self.size {
@@ -1473,6 +1432,7 @@ mod tests {
     use super::*;
     use crate::ids::CeId;
     use crate::network::packet::{MemRequest, Payload, RequestKind, Stream};
+    use crate::snapshot::State;
     use crate::time::Cycle;
 
     fn cfg(radix: usize) -> NetworkConfig {
@@ -1524,6 +1484,53 @@ mod tests {
             net.tick(sink);
         }
         assert!(net.is_idle(), "network did not drain");
+    }
+
+    fn image_of(net: &Omega) -> Vec<u8> {
+        let mut w = SnapWriter::fragment();
+        net.save(&mut w);
+        w.into_fragment()
+    }
+
+    /// Save → load → save is byte-equal mid-traffic (queued words, a
+    /// held injector, a wormhole lock), and the restored network then
+    /// delivers exactly what the original does.
+    #[test]
+    fn snapshot_codec_round_trip_is_byte_equal_mid_traffic() {
+        let mut net = Omega::new(16, &cfg(4));
+        let mut sink = RecSink::default();
+        for port in 0..6 {
+            assert!(net.try_inject(port, pkt(port % 3, 4, port as u64)));
+        }
+        net.tick(&mut sink);
+        net.tick(&mut sink);
+        let image = image_of(&net);
+        let mut copy = Omega::new(16, &cfg(4));
+        copy.load(&mut SnapReader::new(&image)).unwrap();
+        assert_eq!(image_of(&copy), image);
+        let mut copy_sink = RecSink::default();
+        run_until_idle(&mut net, &mut sink, 200);
+        run_until_idle(&mut copy, &mut copy_sink, 200);
+        assert_eq!(
+            copy_sink.delivered,
+            sink.delivered[sink.delivered.len() - copy_sink.delivered.len()..]
+        );
+        assert_eq!(image_of(&copy), image_of(&net));
+    }
+
+    /// A crafted image whose injector slot names a packet beyond the slab
+    /// is refused by name; it used to reach `self.slab[id]` and panic.
+    #[test]
+    fn snapshot_codec_rejects_an_injector_slot_beyond_the_slab() {
+        let mut net = Omega::new(16, &cfg(4));
+        assert!(net.try_inject(2, pkt(5, 1, 0)));
+        let inj = &mut net.injectors[2];
+        inj.slots[usize::from(inj.head)].0 = 999;
+        let image = image_of(&net);
+        let e = Omega::new(16, &cfg(4))
+            .load(&mut SnapReader::new(&image))
+            .unwrap_err();
+        assert!(e.0.contains("injector slot `pkt`"), "{}", e.0);
     }
 
     #[test]

@@ -16,6 +16,9 @@ use crate::ids::CeId;
 use crate::memory::address::{crosses_page, module_of};
 use crate::network::packet::{MemRequest, Packet, RequestKind, Stream};
 use crate::network::Omega;
+use crate::snapshot::{
+    codec, snapshot_state, Codec, Fixed, Present, SnapReader, SnapResult, SnapWriter,
+};
 use crate::time::Cycle;
 use crate::trace::{hop, sample_prefetch, PfuTrace, TraceEvent};
 
@@ -145,6 +148,53 @@ pub struct Pfu {
     /// Causal-tracing state; present only when journey tracing is enabled.
     jtrace: Option<Box<PfuTrace>>,
     stats: PrefetchStats,
+}
+
+codec!(struct Armed { length, stride });
+codec!(struct FireTrace { fire_at, first_arrival, last_arrival, arrivals });
+codec!(struct PrefetchStats {
+    fires, requests, words_returned, first_word_latency_sum, arrival_span_sum,
+    interarrival_samples, page_suspend_cycles, inject_stall_cycles, stale_words, retries,
+});
+
+/// Every issue state is the same thirteen bytes: the tag, the next
+/// element and the page-wait resume cycle, zero where a state has none.
+impl Codec for IssueState {
+    fn put(&self, w: &mut SnapWriter) {
+        let (tag, next, resume_at) = match *self {
+            IssueState::Idle => (0u8, 0u32, Cycle::ZERO),
+            IssueState::Issuing { next } => (1, next, Cycle::ZERO),
+            IssueState::PageWait { next, resume_at } => (2, next, resume_at),
+            IssueState::Retry { next } => (3, next, Cycle::ZERO),
+        };
+        w.u8(tag);
+        w.u32(next);
+        w.cycle(resume_at);
+    }
+
+    fn get(r: &mut SnapReader) -> SnapResult<IssueState> {
+        let tag = r.u8()?;
+        let next = r.u32()?;
+        let resume_at = r.cycle()?;
+        Ok(match tag {
+            0 => IssueState::Idle,
+            1 => IssueState::Issuing { next },
+            2 => IssueState::PageWait { next, resume_at },
+            3 => IssueState::Retry { next },
+            b => return Err(r.err_invalid("pfu issue state", b)),
+        })
+    }
+}
+
+// The full/empty bits go out packed eight to a byte.
+snapshot_state! {
+    impl Pfu as this {
+        saved: [
+            armed, fire_seq, base, state, full: Fixed, consume_idx, crossing_paid, expected,
+            received, retry_at, trace, jtrace: Present("prefetch journey tracing"), stats,
+        ],
+        derived: [ce, cfg, page_words, modules, fault_timeout],
+    }
 }
 
 impl Pfu {
@@ -487,112 +537,6 @@ impl Pfu {
 
     fn elem_addr(&self, elem: u32, stride: i64) -> u64 {
         (self.base as i64 + i64::from(elem) * stride) as u64
-    }
-
-    /// Serialize the armed shape, fire bookkeeping, issue state,
-    /// full/empty bits (packed eight to a byte), and stats.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.opt(self.armed.as_ref(), |w, a| {
-            w.u32(a.length);
-            w.i64(a.stride);
-        });
-        w.u64(self.fire_seq);
-        w.u64(self.base);
-        let (state, next, resume) = match self.state {
-            IssueState::Idle => (0u8, 0u32, Cycle::ZERO),
-            IssueState::Issuing { next } => (1, next, Cycle::ZERO),
-            IssueState::PageWait { next, resume_at } => (2, next, resume_at),
-            IssueState::Retry { next } => (3, next, Cycle::ZERO),
-        };
-        w.u8(state);
-        w.u32(next);
-        w.cycle(resume);
-        w.bools(&self.full);
-        w.u32(self.consume_idx);
-        w.opt(self.crossing_paid.as_ref(), |w, e| w.u32(*e));
-        w.u32(self.expected);
-        w.u32(self.received);
-        w.cycle(self.retry_at);
-        w.cycle(self.trace.fire_at);
-        w.opt(self.trace.first_arrival.as_ref(), |w, c| w.cycle(*c));
-        w.cycle(self.trace.last_arrival);
-        w.u32(self.trace.arrivals);
-        w.opt(self.jtrace.as_deref(), |w, t| t.save_state(w));
-        let s = &self.stats;
-        for v in [
-            s.fires,
-            s.requests,
-            s.words_returned,
-            s.first_word_latency_sum,
-            s.arrival_span_sum,
-            s.interarrival_samples,
-            s.page_suspend_cycles,
-            s.inject_stall_cycles,
-            s.stale_words,
-            s.retries,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader,
-    ) -> crate::snapshot::SnapResult<()> {
-        self.armed = r.opt(|r| {
-            Ok(Armed {
-                length: r.u32()?,
-                stride: r.i64()?,
-            })
-        })?;
-        self.fire_seq = r.u64()?;
-        self.base = r.u64()?;
-        let state = r.u8()?;
-        let next = r.u32()?;
-        let resume_at = r.cycle()?;
-        self.state = match state {
-            0 => IssueState::Idle,
-            1 => IssueState::Issuing { next },
-            2 => IssueState::PageWait { next, resume_at },
-            3 => IssueState::Retry { next },
-            b => return Err(r.err_invalid("pfu issue state", b)),
-        };
-        r.bools_into(&mut self.full)?;
-        self.consume_idx = r.u32()?;
-        self.crossing_paid = r.opt(|r| r.u32())?;
-        self.expected = r.u32()?;
-        self.received = r.u32()?;
-        self.retry_at = r.cycle()?;
-        self.trace = FireTrace {
-            fire_at: r.cycle()?,
-            first_arrival: r.opt(|r| r.cycle())?,
-            last_arrival: r.cycle()?,
-            arrivals: r.u32()?,
-        };
-        let had_jtrace = r.bool()?;
-        if had_jtrace {
-            match self.jtrace.as_deref_mut() {
-                Some(t) => t.load_state(r)?,
-                None => {
-                    return Err(r.err_mismatch(
-                        "snapshot carries prefetch journey tracing but this machine has none",
-                    ))
-                }
-            }
-        }
-        self.stats = PrefetchStats {
-            fires: r.u64()?,
-            requests: r.u64()?,
-            words_returned: r.u64()?,
-            first_word_latency_sum: r.u64()?,
-            arrival_span_sum: r.u64()?,
-            interarrival_samples: r.u64()?,
-            page_suspend_cycles: r.u64()?,
-            inject_stall_cycles: r.u64()?,
-            stale_words: r.u64()?,
-            retries: r.u64()?,
-        };
-        Ok(())
     }
 
     fn finish_trace(&mut self) {

@@ -65,7 +65,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::monitor::Histogrammer;
-use crate::snapshot::{RecordReader, RecordWriter, SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{codec, snapshot_state, Record, RecordReader, RecordWriter, Records, Seq};
 use crate::time::Cycle;
 
 /// Snapshot bytes of one [`UtilSample`]: its four cycle counts.
@@ -178,32 +178,11 @@ impl MachineStats {
             histograms,
         }
     }
-
-    /// BTreeMaps iterate in key order, so the snapshot bytes are already
-    /// deterministic without an explicit sort.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.counters.iter(), |w, (k, &v)| {
-            w.str(k);
-            w.u64(v);
-        });
-        w.seq(self.histograms.iter(), |w, (k, h)| {
-            w.str(k);
-            h.save_state(w);
-        });
-    }
-
-    pub(crate) fn decode(r: &mut SnapReader) -> SnapResult<MachineStats> {
-        let counters = r.seq(|r| Ok((r.str()?, r.u64()?)))?.into_iter().collect();
-        let histograms = r
-            .seq(|r| Ok((r.str()?, Arc::new(Histogrammer::decode(r)?))))?
-            .into_iter()
-            .collect();
-        Ok(MachineStats {
-            counters,
-            histograms,
-        })
-    }
 }
+
+// BTreeMaps iterate in key order, so the snapshot bytes are already
+// deterministic without an explicit sort.
+codec!(struct MachineStats { counters, histograms });
 
 /// One CE's cycle budget over an interval: every cycle is exactly one of
 /// busy, memory stall, synchronization stall, or idle.
@@ -280,6 +259,35 @@ pub struct UtilizationTimeline {
     buckets: Vec<Vec<UtilSample>>,
     /// Cumulative per-CE samples at the last recorded boundary.
     last: Vec<UtilSample>,
+}
+
+snapshot_state! {
+    impl UtilizationTimeline as this {
+        saved: [
+            ces, start, end, bucket_cycles, next_boundary, buckets: Seq(Records), last: Records,
+        ],
+        derived: [],
+    }
+}
+
+impl Record<SAMPLE_RECORD> for UtilSample {
+    fn record(&self) -> [u8; SAMPLE_RECORD] {
+        RecordWriter::new()
+            .u64(self.busy)
+            .u64(self.stall_mem)
+            .u64(self.stall_sync)
+            .u64(self.idle)
+            .done()
+    }
+
+    fn from_record(mut f: RecordReader<'_, SAMPLE_RECORD>) -> Result<Self, &'static str> {
+        Ok(UtilSample {
+            busy: f.u64(),
+            stall_mem: f.u64(),
+            stall_sync: f.u64(),
+            idle: f.u64(),
+        })
+    }
 }
 
 impl UtilizationTimeline {
@@ -393,47 +401,6 @@ impl UtilizationTimeline {
     /// The recorded buckets: `buckets()[b][ce]`.
     pub fn buckets(&self) -> &[Vec<UtilSample>] {
         &self.buckets
-    }
-
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        fn put_sample(s: &UtilSample) -> [u8; SAMPLE_RECORD] {
-            RecordWriter::new()
-                .u64(s.busy)
-                .u64(s.stall_mem)
-                .u64(s.stall_sync)
-                .u64(s.idle)
-                .done()
-        }
-        w.usize(self.ces);
-        w.cycle(self.start);
-        w.cycle(self.end);
-        w.u64(self.bucket_cycles);
-        w.cycle(self.next_boundary);
-        w.seq(self.buckets.iter(), |w, bucket| {
-            w.records(bucket.iter(), put_sample);
-        });
-        w.records(self.last.iter(), put_sample);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        fn get_sample(
-            mut f: RecordReader<'_, SAMPLE_RECORD>,
-        ) -> std::result::Result<UtilSample, &'static str> {
-            Ok(UtilSample {
-                busy: f.u64(),
-                stall_mem: f.u64(),
-                stall_sync: f.u64(),
-                idle: f.u64(),
-            })
-        }
-        self.ces = r.usize()?;
-        self.start = r.cycle()?;
-        self.end = r.cycle()?;
-        self.bucket_cycles = r.u64()?;
-        self.next_boundary = r.cycle()?;
-        self.buckets = r.seq(|r| r.records(get_sample))?;
-        self.last = r.records(get_sample)?;
-        Ok(())
     }
 
     /// Whole-run utilization per CE: each CE's summed sample.

@@ -23,7 +23,7 @@
 //! simulator byte for byte.
 
 use crate::fault::mix;
-use crate::snapshot::{SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{codec, snapshot_state};
 use crate::time::Cycle;
 
 /// Sampling site salt for per-CE memory-op journeys (XORed with the CE
@@ -236,35 +236,16 @@ impl TraceBuf {
             self.dropped += 1;
         }
     }
-
-    /// Serialize the stamped events and drop count (capacity is a
-    /// construction-time constant).
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.events.iter(), put_trace_event);
-        w.u64(self.dropped);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.events = r.seq(get_trace_event)?;
-        self.dropped = r.u64()?;
-        Ok(())
-    }
 }
 
-pub(crate) fn put_trace_event(w: &mut SnapWriter, e: &TraceEvent) {
-    w.u64(e.id);
-    w.u16(e.hop);
-    w.u16(e.ce);
-    w.cycle(e.at);
-}
+codec!(struct TraceEvent { id, hop, ce, at });
 
-pub(crate) fn get_trace_event(r: &mut SnapReader) -> SnapResult<TraceEvent> {
-    Ok(TraceEvent {
-        id: r.u64()?,
-        hop: r.u16()?,
-        ce: r.u16()?,
-        at: r.cycle()?,
-    })
+// The capacity is a construction-time constant.
+snapshot_state! {
+    impl TraceBuf as this {
+        saved: [events, dropped],
+        derived: [cap],
+    }
 }
 
 /// Per-CE tracing controller: owns the sampling counter for the CE's
@@ -336,20 +317,14 @@ impl CeTraceCtl {
         let ce = self.ce;
         self.buf.stamp(id, kind, arg, ce, at);
     }
+}
 
-    /// Serialize the sampling cursor (the RNG counter), the in-progress
-    /// barrier episode, and the stamp buffer. Seed/rate/CE id are
-    /// configuration, reconstructed on restore.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.candidates);
-        w.opt(self.episode.as_ref(), |w, id| w.u64(*id));
-        self.buf.save_state(w);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.candidates = r.u64()?;
-        self.episode = r.opt(|r| r.u64())?;
-        self.buf.load_state(r)
+// The sampling cursor (the RNG counter), the in-progress barrier episode
+// and the stamp buffer; seed, rate and CE id are configuration.
+snapshot_state! {
+    impl CeTraceCtl as this {
+        saved: [candidates, episode, buf],
+        derived: [seed, ppm, ce],
     }
 }
 
@@ -419,15 +394,12 @@ impl NetTrace {
         let at = self.now;
         self.buf.stamp(id, kind, 0, ce, at);
     }
+}
 
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.cycle(self.now);
-        self.buf.save_state(w);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.now = r.cycle()?;
-        self.buf.load_state(r)
+snapshot_state! {
+    impl NetTrace as this {
+        saved: [now, buf],
+        derived: [fwd],
     }
 }
 
@@ -450,18 +422,12 @@ impl PfuTrace {
             buf: TraceBuf::with_capacity(PFU_TRACE_CAP),
         }
     }
+}
 
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.opt(self.cur.as_ref(), |w, (id, seq)| {
-            w.u64(*id);
-            w.u64(*seq);
-        });
-        self.buf.save_state(w);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.cur = r.opt(|r| Ok((r.u64()?, r.u64()?)))?;
-        self.buf.load_state(r)
+snapshot_state! {
+    impl PfuTrace as this {
+        saved: [cur, buf],
+        derived: [seed, ppm],
     }
 }
 
@@ -478,18 +444,13 @@ impl TraceStore {
         self.events.clear();
         self.dropped = 0;
     }
+}
 
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.tag(b"TRCS");
-        w.seq(self.events.iter(), put_trace_event);
-        w.u64(self.dropped);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        r.tag(b"TRCS")?;
-        self.events = r.seq(get_trace_event)?;
-        self.dropped = r.u64()?;
-        Ok(())
+snapshot_state! {
+    impl TraceStore as this {
+        tag: b"TRCS",
+        saved: [events, dropped],
+        derived: [],
     }
 }
 

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::ids::PageId;
-use crate::snapshot::{SnapReader, SnapResult, SnapWriter};
+use crate::snapshot::{codec, snapshot_state, SnapReader, SnapResult, Sorted};
 
 /// Statistics for one TLB.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,6 +22,8 @@ pub struct TlbStats {
     pub misses: u64,
 }
 
+codec!(struct TlbStats { hits, misses });
+
 /// The machine-wide page table: which pages have a valid PTE in global
 /// memory (i.e. have been touched by any cluster since reset).
 #[derive(Debug, Default)]
@@ -29,6 +31,15 @@ pub struct PageTable {
     valid: std::collections::HashSet<PageId>,
     hard_faults: u64,
     soft_faults: u64,
+}
+
+// The valid set goes out in sorted page order (the set itself is hash
+// ordered).
+snapshot_state! {
+    impl PageTable as this {
+        saved: [valid: Sorted, hard_faults, soft_faults],
+        derived: [],
+    }
 }
 
 impl PageTable {
@@ -72,23 +83,6 @@ impl PageTable {
         self.hard_faults = 0;
         self.soft_faults = 0;
     }
-
-    /// Valid PTEs serialize in sorted page order so the snapshot bytes
-    /// are deterministic (the set itself is hash-ordered).
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        let mut pages: Vec<u64> = self.valid.iter().map(|p| p.0).collect();
-        pages.sort_unstable();
-        w.seq(pages.iter(), |w, p| w.u64(*p));
-        w.u64(self.hard_faults);
-        w.u64(self.soft_faults);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.valid = r.seq(|r| Ok(PageId(r.u64()?)))?.into_iter().collect();
-        self.hard_faults = r.u64()?;
-        self.soft_faults = r.u64()?;
-        Ok(())
-    }
 }
 
 /// A per-cluster TLB with FIFO replacement.
@@ -98,6 +92,14 @@ pub struct Tlb {
     entries: HashMap<PageId, ()>,
     order: VecDeque<PageId>,
     stats: TlbStats,
+}
+
+snapshot_state! {
+    impl Tlb as this {
+        saved: [order, stats],
+        derived: [capacity, entries],
+        after_load: rebuild_entries,
+    }
 }
 
 impl Tlb {
@@ -145,21 +147,10 @@ impl Tlb {
         self.order.clear();
     }
 
-    /// The FIFO order is the whole replacement state; the entry map is
-    /// rebuilt from it on restore.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.order.iter(), |w, p| w.u64(p.0));
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-    }
-
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.order = r.seq(|r| Ok(PageId(r.u64()?)))?.into_iter().collect();
+    /// The FIFO order is the whole replacement state: rebuild the entry
+    /// map from it.
+    fn rebuild_entries(&mut self, _: &SnapReader) -> SnapResult<()> {
         self.entries = self.order.iter().map(|&p| (p, ())).collect();
-        self.stats = TlbStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-        };
         Ok(())
     }
 }

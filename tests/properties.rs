@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use cedar_integration::LIMIT;
 use cedar_kernels::banded::BandedMatrix;
 use cedar_kernels::cg::{cg_solve, dot};
 use cedar_kernels::dense::{rank_update, Matrix};
@@ -17,7 +18,9 @@ use cedar_machine::program::{AddressExpr, MemOperand, Op, Program, ProgramBuilde
 use cedar_machine::sched::BarrierScope;
 use cedar_machine::stats::export::flat_text;
 use cedar_machine::time::Cycle;
-use cedar_machine::{ClusterId, CounterId, CounterScope, FaultPlan, TraceEvent, TracePlan};
+use cedar_machine::{
+    ClusterId, CounterId, CounterScope, FaultPlan, MachineError, RunReport, TraceEvent, TracePlan,
+};
 use cedar_methodology::stability::{instability, stability};
 
 #[derive(Default)]
@@ -672,13 +675,30 @@ impl RandomRun {
     }
 }
 
-/// One full-machine run of a seeded random program mix on the machine
-/// `cfg` builds (the reference with `reference`): every CE gets its own
-/// generated program, self-scheduled loops share two global counters, its
+impl RandomRun {
+    /// What the run that produced `r` left behind on `m`.
+    fn of(m: &Machine, r: RunReport) -> RandomRun {
+        RandomRun {
+            cycles: r.cycles,
+            digest: m.memory_digest(),
+            stats: flat_text(&r.stats),
+            trace: m.trace_events().to_vec(),
+            skipped: m.fastforward_skipped_cycles(),
+        }
+    }
+}
+
+/// The machine `cfg` builds (the reference with `reference`), loaded
+/// with a seeded random program mix: every CE gets its own generated
+/// program, self-scheduled loops share two global counters, its
 /// cluster's bus counter and an SDOALL counter with the other CEs, and
 /// every CE meets its cluster at a bus barrier and then the whole machine
 /// at a global barrier at the end.
-fn run_random_programs(seed: u64, cfg: cedar_machine::MachineConfig, reference: bool) -> RandomRun {
+fn random_programs(
+    seed: u64,
+    cfg: cedar_machine::MachineConfig,
+    reference: bool,
+) -> (Machine, Vec<(CeId, Program)>) {
     let mut m = cedar_integration::machine(cfg, reference);
     let (clusters, cpc) = (m.config().clusters, m.config().ces_per_cluster);
     let shared = [
@@ -709,14 +729,14 @@ fn run_random_programs(seed: u64, cfg: cedar_machine::MachineConfig, reference: 
             (CeId(ce), b.build())
         })
         .collect();
-    let r = m.run(progs, 1_000_000_000).unwrap();
-    RandomRun {
-        cycles: r.cycles,
-        digest: m.memory_digest(),
-        stats: flat_text(&r.stats),
-        trace: m.trace_events().to_vec(),
-        skipped: m.fastforward_skipped_cycles(),
-    }
+    (m, progs)
+}
+
+/// One full-machine run of [`random_programs`].
+fn run_random_programs(seed: u64, cfg: cedar_machine::MachineConfig, reference: bool) -> RandomRun {
+    let (mut m, progs) = random_programs(seed, cfg, reference);
+    let r = m.run(progs, LIMIT).unwrap();
+    RandomRun::of(&m, r)
 }
 
 proptest! {
@@ -788,5 +808,69 @@ proptest! {
         let base = run_random_programs(seed, cfg.clone(), false);
         let lanes = run_random_programs(seed, cfg.with_threads(2), false);
         base.assert_same(&lanes, "one thread", "two lanes ")?;
+    }
+}
+
+proptest! {
+    // Four machine runs per case, on short generated programs.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A random-program run auto-checkpointed and killed at a cycle drawn
+    /// from the seed resumes to the uninterrupted run's cycle count,
+    /// memory digest, stats tree and journey trace, with and without
+    /// faults, the VM model and tracing; and the killed machine's image,
+    /// restored onto a sibling cut elsewhere, checkpoints back to the
+    /// identical bytes.
+    #[test]
+    fn killed_random_programs_resume_bit_identically(
+        seed in 0u64..100_000,
+        faults in any::<bool>(),
+        vm in any::<bool>(),
+        traced in any::<bool>(),
+    ) {
+        let mut cfg = cedar_machine::MachineConfig::cedar_with_clusters(2);
+        cfg.vm.enabled = vm;
+        if faults {
+            cfg = cfg.with_faults(FaultPlan {
+                drop_per_million: 3_000,
+                nack_per_million: 1_500,
+                ..FaultPlan::none(seed)
+            });
+        }
+        if traced {
+            cfg = cfg.with_trace(TracePlan {
+                seed,
+                sample_ppm: 250_000,
+            });
+        }
+        let base = run_random_programs(seed, cfg.clone(), false);
+        prop_assert!(base.cycles > 8, "too short a run to cut");
+        let kill_at = base.cycles / 8 + seed % (3 * base.cycles / 4);
+        let path = std::env::temp_dir().join(format!(
+            "cedar-prop-{}-{seed}-{faults}-{vm}-{traced}.ckpt",
+            std::process::id()
+        ));
+
+        let (mut killed, progs) =
+            random_programs(seed, cfg.clone().with_checkpoint((kill_at / 3).max(1), &path), false);
+        let cut = killed.run(progs, kill_at);
+        prop_assert!(
+            matches!(cut, Err(MachineError::CycleLimitExceeded { .. })),
+            "the kill run should hit its cycle limit at {}, got {:?}", kill_at, cut
+        );
+        let mut stopped = Vec::new();
+        killed.checkpoint(&mut stopped).unwrap();
+
+        let (mut resumed, progs) = random_programs(seed, cfg.clone(), false);
+        let r = resumed.resume_from_file(progs, &path, LIMIT);
+        std::fs::remove_file(&path).ok();
+        base.assert_same(&RandomRun::of(&resumed, r.unwrap()), "uninterrupted", "resumed")?;
+
+        let (mut sibling, progs) = random_programs(seed, cfg, false);
+        prop_assert!(sibling.run(progs, kill_at / 2).is_err(), "the sibling should be cut");
+        sibling.restore(&mut &stopped[..]).unwrap();
+        let mut again = Vec::new();
+        sibling.checkpoint(&mut again).unwrap();
+        prop_assert!(again == stopped, "restore then checkpoint changed the image");
     }
 }
