@@ -15,7 +15,9 @@ use std::path::PathBuf;
 
 use cedar::experiments::table2::Table2Sizes;
 use cedar::experiments::{ppt4, resilience, table1, table2};
+use cedar_integration::run_random_traffic;
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
+use cedar_machine::config::NetworkConfig;
 use cedar_machine::{
     BarrierScope, CeId, ClusterId, CounterScope, FaultPlan, LinkOutage, Machine, MachineConfig,
     MachineError, ModuleOutage, Op, Program, ProgramBuilder, TracePlan,
@@ -109,6 +111,48 @@ fn ppt4_matches_golden_snapshot() {
 fn resilience_matches_golden_snapshot() {
     let r = resilience::run(64, 0xCEDA_0001).unwrap();
     check_golden("resilience.txt", &r.render());
+}
+
+/// FNV-1a over `text`: a short, stable stand-in for a long rendering.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The omega network pinned on its own, not only against its per-flit
+/// reference (`properties.rs` holds the two equal; a fault both shared
+/// would pass there and fail here): checksums of the delivery schedule
+/// and of the stats fingerprint of seeded random traffic on the flow
+/// path, over radix 2, 3, 4, 8 and 16, queues of 1, 2 and 4 words, one
+/// and two words per cycle, with and without drops, NACKs and port
+/// outages.
+#[test]
+fn omega_traffic_matches_golden_checksums() {
+    let mut out = String::new();
+    for radix in [2, 3, 4, 8, 16] {
+        for queue_words in [1, 2, 4] {
+            for words_per_cycle in [1, 2] {
+                for faults in [false, true] {
+                    let cfg = NetworkConfig {
+                        radix,
+                        queue_words,
+                        words_per_cycle,
+                    };
+                    let t = run_random_traffic(false, 0xCEDA, 400, 64, &cfg, faults);
+                    let _ = writeln!(
+                        out,
+                        "radix {radix} queue_words {queue_words} words_per_cycle {words_per_cycle} \
+                         faults {faults}: {} deliveries, schedule {:016x}, stats {:016x}",
+                        t.deliveries.len(),
+                        fnv1a(&format!("{:?}", t.deliveries)),
+                        fnv1a(&t.fingerprint),
+                    );
+                }
+            }
+        }
+    }
+    check_golden("omega_traffic.txt", &out);
 }
 
 /// A checkpoint file written by a run killed at `kill_at` cycles while

@@ -1,8 +1,13 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use cedar_kernels::staged::rank64::{Rank64, Rank64Version};
+use cedar_machine::config::NetworkConfig;
+use cedar_machine::ids::CeId;
 use cedar_machine::machine::Machine;
+use cedar_machine::network::packet::{MemRequest, Packet, Payload, RequestKind, Stream};
+use cedar_machine::network::{NetSink, Omega};
 use cedar_machine::stats::export::{chrome_trace_with_journeys, flat_text};
+use cedar_machine::time::Cycle;
 use cedar_machine::{MachineConfig, MachineStats, RunReport, TracePlan};
 
 /// Cycle budget for every equivalence run (never reached).
@@ -145,4 +150,125 @@ pub fn assert_journeys_match_reference(clusters: usize, version: Rank64Version) 
         chrome(&engine, &eng_stats),
         "{version:?}: Chrome export with journeys drifted"
     );
+}
+
+/// Records each delivery with its arrival tick, refusing ports according
+/// to a mask the traffic generator reseeds as the run progresses — the
+/// worst case for the flow path's cached stall charges.
+struct MaskedSink {
+    refuse_mask: u64,
+    now: u64,
+    delivered: Vec<(u64, usize, u64, bool)>,
+}
+
+impl NetSink for MaskedSink {
+    fn try_begin(&mut self, port: usize) -> bool {
+        self.refuse_mask & (1 << (port % 64)) == 0
+    }
+    fn deliver(&mut self, port: usize, pkt: Packet) {
+        let (addr, nacked) = match pkt.payload {
+            Payload::Request(r) => (r.addr, r.nacked),
+            _ => (u64::MAX, false),
+        };
+        self.delivered.push((self.now, port, addr, nacked));
+    }
+}
+
+/// What [`run_random_traffic`] observed.
+pub struct Traffic {
+    /// Every delivery: tick, port, payload address and NACK flag.
+    pub deliveries: Vec<(u64, usize, u64, bool)>,
+    /// Every observable stat: the counter struct, per-stage conflict and
+    /// blocked vectors, queue-depth histogram bins and in-flight count.
+    pub fingerprint: String,
+    /// Ticks the network settled by replaying a cached stall charge.
+    pub replays: u64,
+}
+
+/// Drive `cycles` of seeded random traffic (bursty injection, variable
+/// packet lengths, sink backpressure flipping every 7 cycles) through an
+/// omega network — the per-flit reference with `reference`, else the
+/// flow path. With `faults`, the network also drops and NACKs packets
+/// at 3 % each and takes a random port down or back up every 11 cycles.
+pub fn run_random_traffic(
+    reference: bool,
+    seed: u64,
+    cycles: u64,
+    ports: usize,
+    cfg: &NetworkConfig,
+    faults: bool,
+) -> Traffic {
+    let mut net = if reference {
+        Omega::new_reference(ports, cfg)
+    } else {
+        Omega::new(ports, cfg)
+    };
+    if faults {
+        net.enable_faults(seed, 0xFA17, 30_000, 30_000);
+    }
+    let size = net.size();
+    let mut sink = MaskedSink {
+        refuse_mask: 0,
+        now: 0,
+        delivered: Vec::new(),
+    };
+    let mut rng = seed | 1;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut epoch = 0u64;
+    for c in 0..cycles {
+        sink.now = c;
+        if c % 7 == 0 {
+            // Sink acceptance changed: the epoch contract requires a bump
+            // (injections invalidate the stall cache internally).
+            sink.refuse_mask = next();
+            epoch += 1;
+        }
+        if faults && c % 11 == 0 {
+            let r = next();
+            net.set_port_down((r >> 8) as usize % size, r & 1 == 0);
+        }
+        for _ in 0..3 {
+            let r = next();
+            if r % 100 < 60 {
+                let port = (r >> 8) as usize % size;
+                let dst = (r >> 20) as usize % size;
+                let words = 1 + ((r >> 40) % 4) as u8;
+                net.try_inject(
+                    port,
+                    Packet {
+                        dst,
+                        words,
+                        payload: Payload::Request(MemRequest {
+                            ce: CeId(0),
+                            kind: RequestKind::Read,
+                            addr: r,
+                            stream: Stream::Scalar,
+                            issued: Cycle(0),
+                            seq: 0,
+                            nacked: false,
+                            trace: 0,
+                        }),
+                    },
+                );
+            }
+        }
+        net.tick_epoch(&mut sink, epoch);
+    }
+    Traffic {
+        deliveries: sink.delivered,
+        fingerprint: format!(
+            "{:?} conflicts={:?} blocked={:?} depth={:?} in_flight={}",
+            net.stats(),
+            net.stage_conflicts(),
+            net.stage_blocked(),
+            net.queue_depth_histogram().bins(),
+            net.in_flight_packets()
+        ),
+        replays: net.stall_replays(),
+    }
 }

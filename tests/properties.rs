@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use cedar_integration::LIMIT;
+use cedar_integration::{run_random_traffic, LIMIT};
 use cedar_kernels::banded::BandedMatrix;
 use cedar_kernels::cg::{cg_solve, dot};
 use cedar_kernels::dense::{rank_update, Matrix};
@@ -38,131 +38,34 @@ impl NetSink for Collect {
     }
 }
 
-/// Records each delivery with its arrival tick, refusing ports according
-/// to a mask the traffic generator reseeds as the run progresses — the
-/// worst case for the flow path's cached stall charges.
-struct MaskedSink {
-    refuse_mask: u64,
-    now: u64,
-    delivered: Vec<(u64, usize, u64)>,
-}
-
-impl NetSink for MaskedSink {
-    fn try_begin(&mut self, port: usize) -> bool {
-        self.refuse_mask & (1 << (port % 64)) == 0
-    }
-    fn deliver(&mut self, port: usize, pkt: Packet) {
-        let addr = match pkt.payload {
-            Payload::Request(r) => r.addr,
-            _ => u64::MAX,
-        };
-        self.delivered.push((self.now, port, addr));
-    }
-}
-
-/// Drive `cycles` of seeded random traffic (bursty injection, variable
-/// packet lengths, sink backpressure flipping every 7 cycles) through an
-/// omega network, returning the delivery schedule and a fingerprint of
-/// every observable stat: the counter struct, per-stage conflict and
-/// blocked vectors, queue-depth histogram bins and in-flight count.
-fn run_random_traffic(
-    reference: bool,
-    seed: u64,
-    cycles: u64,
-    ports: usize,
-    cfg: &NetworkConfig,
-) -> (Vec<(u64, usize, u64)>, String, u64) {
-    let mut net = if reference {
-        Omega::new_reference(ports, cfg)
-    } else {
-        Omega::new(ports, cfg)
-    };
-    let size = net.size();
-    let mut sink = MaskedSink {
-        refuse_mask: 0,
-        now: 0,
-        delivered: Vec::new(),
-    };
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    let mut epoch = 0u64;
-    for c in 0..cycles {
-        sink.now = c;
-        if c % 7 == 0 {
-            // Sink acceptance changed: the epoch contract requires a bump
-            // (injections invalidate the stall cache internally).
-            sink.refuse_mask = next();
-            epoch += 1;
-        }
-        for _ in 0..3 {
-            let r = next();
-            if r % 100 < 60 {
-                let port = (r >> 8) as usize % size;
-                let dst = (r >> 20) as usize % size;
-                let words = 1 + ((r >> 40) % 4) as u8;
-                net.try_inject(
-                    port,
-                    Packet {
-                        dst,
-                        words,
-                        payload: Payload::Request(MemRequest {
-                            ce: CeId(0),
-                            kind: RequestKind::Read,
-                            addr: r,
-                            stream: Stream::Scalar,
-                            issued: Cycle(0),
-                            seq: 0,
-                            nacked: false,
-                            trace: 0,
-                        }),
-                    },
-                );
-            }
-        }
-        net.tick_epoch(&mut sink, epoch);
-    }
-    let fingerprint = format!(
-        "{:?} conflicts={:?} blocked={:?} depth={:?} in_flight={}",
-        net.stats(),
-        net.stage_conflicts(),
-        net.stage_blocked(),
-        net.queue_depth_histogram().bins(),
-        net.in_flight_packets()
-    );
-    (sink.delivered, fingerprint, net.stall_replays())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The flow-level fast path is byte-identical to the per-flit
     /// reference sweep on arbitrary omega traffic: same delivery schedule
-    /// (tick, port and payload of every arrival), same `net.*` counters,
-    /// same per-stage conflict/blocked vectors, same queue-depth
-    /// histogram bins — across radices, queue depths, burst lengths,
-    /// contention and sink backpressure. The reference never replays; the flow path
-    /// may, and must charge exactly the same stats when it does.
+    /// (tick, port, payload and NACK flag of every arrival), same `net.*`
+    /// counters, same per-stage conflict/blocked vectors, same
+    /// queue-depth histogram bins — across radices (3 gives 81-line
+    /// networks whose switches straddle a 64-bit mask word), queue
+    /// depths, burst lengths, contention, sink backpressure and a fault
+    /// plan of drops, NACKs and port outages. The reference never
+    /// replays; the flow path may, and must charge exactly the same
+    /// stats when it does.
     #[test]
     fn flow_path_is_bit_identical_to_the_per_flit_oracle(
-        radix in prop::sample::select(vec![2usize, 4, 8]),
+        radix in prop::sample::select(vec![2usize, 3, 4, 8, 16]),
         ports in prop::sample::select(vec![16usize, 32, 64]),
         queue_words in prop::sample::select(vec![1usize, 2, 4]),
         words_per_cycle in 1u32..3,
+        faults in any::<bool>(),
         seed in 1u64..100_000,
     ) {
         let cfg = NetworkConfig { radix, queue_words, words_per_cycle };
-        let (oracle_deliveries, oracle_fp, oracle_replays) =
-            run_random_traffic(true, seed, 400, ports, &cfg);
-        let (flow_deliveries, flow_fp, _) =
-            run_random_traffic(false, seed, 400, ports, &cfg);
-        prop_assert_eq!(oracle_replays, 0, "the reference must never replay");
-        prop_assert_eq!(oracle_deliveries, flow_deliveries);
-        prop_assert_eq!(oracle_fp, flow_fp);
+        let oracle = run_random_traffic(true, seed, 400, ports, &cfg, faults);
+        let flow = run_random_traffic(false, seed, 400, ports, &cfg, faults);
+        prop_assert_eq!(oracle.replays, 0, "the reference must never replay");
+        prop_assert_eq!(oracle.deliveries, flow.deliveries);
+        prop_assert_eq!(oracle.fingerprint, flow.fingerprint);
     }
 
     /// Every packet injected into the omega network arrives exactly once,
@@ -382,6 +285,120 @@ proptest! {
         );
         prop_assert!(err.sqrt() < 1e-5, "error {err}");
     }
+}
+
+/// Counts deliveries.
+#[derive(Default)]
+struct Count {
+    delivered: u64,
+}
+impl NetSink for Count {
+    fn try_begin(&mut self, _p: usize) -> bool {
+        true
+    }
+    fn deliver(&mut self, _p: usize, _pkt: Packet) {
+        self.delivered += 1;
+    }
+}
+
+/// Delivered 1-word packets per destination port per cycle under
+/// open-loop Bernoulli traffic: each of the first `sources` ports of an
+/// `Omega::new(ports, ..)` network gets a packet with probability `load`
+/// per cycle into an unbounded source FIFO whose head is offered to
+/// `try_inject` every cycle; a packet goes to port 0 with probability
+/// `hot`, else to one of the first `dests` ports uniformly. One tick a
+/// cycle at one word per cycle, so a cycle is a switch cycle. The first
+/// fifth of the run is warm-up.
+fn open_loop_throughput(
+    ports: usize,
+    sources: usize,
+    dests: usize,
+    queue_words: usize,
+    load: f64,
+    hot: f64,
+    cycles: u64,
+) -> f64 {
+    let cfg = NetworkConfig {
+        radix: 8,
+        queue_words,
+        words_per_cycle: 1,
+    };
+    let mut net = Omega::new(ports, &cfg);
+    let mut rng = SplitMix(0xCEDA ^ ports as u64);
+    let mut unit = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+    let mut fifos = vec![std::collections::VecDeque::new(); sources];
+    let mut sink = Count::default();
+    let warm = cycles / 5;
+    let mut at_warm = 0;
+    for c in 0..cycles {
+        if c == warm {
+            at_warm = sink.delivered;
+        }
+        for (port, fifo) in fifos.iter_mut().enumerate() {
+            if unit() < load {
+                let dst = if unit() < hot {
+                    0
+                } else {
+                    (unit() * dests as f64) as usize
+                };
+                fifo.push_back(dst);
+            }
+            if let Some(&dst) = fifo.front() {
+                let req = MemRequest {
+                    ce: CeId(0),
+                    kind: RequestKind::Read,
+                    addr: 0,
+                    stream: Stream::Scalar,
+                    issued: Cycle(c),
+                    seq: 0,
+                    nacked: false,
+                    trace: 0,
+                };
+                if net.try_inject(port, Packet::read_request(dst, req)) {
+                    fifo.pop_front();
+                }
+            }
+        }
+        net.tick_epoch(&mut sink, 0);
+    }
+    (sink.delivered - at_warm) as f64 / (dests * (cycles - warm) as usize) as f64
+}
+
+/// The network model against queueing theory (ROADMAP item 6), within
+/// ±0.01 of each closed form: one 8×8 input-queued switch saturates at
+/// the head-of-line bound 0.618 (Karol, Hluchyj & Morgan 1987); a
+/// 64-port network offered 0.3 with a hot-spot fraction h delivers
+/// 1/(1 + h(N − 1)) = 0.284 / 0.166 / 0.090 at h = 0.04 / 0.08 / 0.16
+/// (Pfister & Norton 1985); and the Cedar geometry, 32 CE ports to 32
+/// module ports with two-word queues, saturates at 0.542 — this
+/// model's own figure, pinned so a network change cannot move it
+/// unseen.
+#[test]
+fn omega_saturation_matches_queueing_theory() {
+    let cycles = 20_000;
+    let check = |what: &str, got: f64, want: f64| {
+        assert!(
+            (got - want).abs() <= 0.01,
+            "{what}: throughput {got:.4}, expected {want} ± 0.01"
+        );
+    };
+    check(
+        "one 8x8 switch, saturated",
+        open_loop_throughput(8, 8, 8, 2, 1.0, 0.0, cycles),
+        0.618,
+    );
+    for (h, want) in [(0.04, 0.284), (0.08, 0.166), (0.16, 0.090)] {
+        check(
+            &format!("64-port hot spot, h = {h}"),
+            open_loop_throughput(64, 64, 64, 2, 0.3, h, cycles),
+            want,
+        );
+    }
+    check(
+        "Cedar geometry, saturated",
+        open_loop_throughput(32, 32, 32, 2, 1.0, 0.0, cycles),
+        0.542,
+    );
 }
 
 proptest! {
