@@ -128,9 +128,9 @@ snapshot_state! {
 // Mid-run, the slot `run()` holds everything `Machine::resume` needs to
 // re-enter the loop exactly where the killed run left it (`ResumeCtx`).
 // Derived and not written: the CE configuration, the stat-key cache,
-// the timeline's scratch buffer, the engines' folded wake cycle, the
-// host profiler and the reference flag (reference machines refuse to
-// checkpoint).
+// the timeline's scratch buffer, the reply buffer (empty between
+// cycles), the engines' folded wake cycle, the host profiler and the
+// reference flag (reference machines refuse to checkpoint).
 snapshot_state! {
     impl Machine as this, run {
         tag: b"MACH",
@@ -141,7 +141,7 @@ snapshot_state! {
             forward, reverse, gmem, clusters: All(Nested), fault_sched: Present("fault schedule"),
             engines: Engines,
         ],
-        derived: [ce_cfg, stat_keys, util_scratch, ce_wake, profiler, reference],
+        derived: [ce_cfg, stat_keys, util_scratch, replies, ce_wake, profiler, reference],
     }
 }
 

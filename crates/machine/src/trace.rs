@@ -764,7 +764,7 @@ pub mod region {
     pub const FAULTS: usize = 0;
     /// Global-memory module ticks.
     pub const GMEM: usize = 1;
-    /// Reverse-network tick (including CE-side delivery).
+    /// Reverse-network tick (replies are collected, not yet delivered).
     pub const REVERSE: usize = 2;
     /// Forward-network tick (including module-side delivery).
     pub const FORWARD: usize = 3;
@@ -774,11 +774,13 @@ pub mod region {
     pub const TIMELINE: usize = 5;
     /// Event-horizon fast-forward.
     pub const FASTFWD: usize = 6;
+    /// Handing the reverse network's replies to the CE engines.
+    pub const DELIVER: usize = 7;
     /// Number of regions.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
 
     pub(crate) const NAMES: [&str; COUNT] = [
-        "faults", "gmem", "reverse", "forward", "cluster", "timeline", "fastfwd",
+        "faults", "gmem", "reverse", "forward", "cluster", "timeline", "fastfwd", "deliver",
     ];
 }
 
