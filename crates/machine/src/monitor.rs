@@ -127,6 +127,7 @@ impl Histogrammer {
     }
 
     /// Count a sample at `value` (clamped into the last bin).
+    #[inline]
     pub fn record(&mut self, value: usize) {
         let i = value.min(self.bins.len() - 1);
         self.bins[i] = self.bins[i].saturating_add(1);
